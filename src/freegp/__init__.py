@@ -29,11 +29,7 @@ from .gp import (
     GPPoly,
     Weight,
     fine_components,
-    gp_bracket,
-    gp_mul,
     substitute,
-    supports,
-    weight,
 )
 from .identities import (
     FarkasHeight,
@@ -52,7 +48,7 @@ from .identities import (
     strip_bare_factors,
 )
 from .parsing import ParseError, parse, to_ac, to_assoc, to_gp
-from .ratfunc import MultiPoly, RatFunc, partial_derivative
+from .ratfunc import MultiPoly, RatFunc
 from .realize import (
     Realization,
     Witness,

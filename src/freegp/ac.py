@@ -22,6 +22,7 @@ __all__ = [
     "Word",
     "WordOrder",
     "DEFAULT_ORDER",
+    "Linear",
     "ACPoly",
     "OperatorWord",
     "FlipOrbit",
@@ -198,19 +199,91 @@ def _accumulate(acc: dict, key, delta: Fraction) -> None:
         del acc[key]
 
 
-class ACPoly:
-    """Exact linear combination of normal words."""
+class Linear:
+    """Exact sparse linear combination: a dict from keys to nonzero
+    `Fraction` coefficients.
+
+    The keys are assumed canonical and the coefficients nonzero; each
+    subclass builds them through its own constructors and products.
+    Subclasses add the key product, the term order of `terms()` and the
+    rendering of one key (`_key_str`).
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        # Keys are assumed normal and coefficients nonzero; start from
-        # raw words via normalize_word / generator instead.
+    def __init__(self, terms: Mapping | None = None):
         self._terms = dict(terms) if terms else {}
 
-    @staticmethod
-    def zero() -> "ACPoly":
-        return ACPoly()
+    def _new(self, terms: dict) -> "Linear":
+        """An element of the same type (and variables) owning `terms`."""
+        out = object.__new__(type(self))
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def _operand(self, other):
+        """`other` as an addend of this element, or None if it is not one."""
+        return other if type(other) is type(self) else None
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        acc = dict(self._terms)
+        for k, c in o._terms.items():
+            _accumulate(acc, k, c)
+        return self._new(acc)
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        acc = dict(self._terms)
+        for k, c in o._terms.items():
+            _accumulate(acc, k, -c)
+        return self._new(acc)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def _scaled(self, scalar):
+        s = Fraction(scalar)
+        if not s:
+            return self._new({})
+        return self._new({k: c * s for k, c in self._terms.items()})
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, (int, Fraction)):
+            return self._scaled(scalar)
+        return NotImplemented
+
+    __rmul__ = __mul__  # scalars only, also where a subclass overrides __mul__
+
+    def __eq__(self, other) -> bool:
+        # False, not NotImplemented, for another type: a reflected
+        # __eq__ (RatFunc's cross-multiplication) must not take over.
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return format_linear((self._key_str(k), c) for k, c in self.terms())
+
+
+class ACPoly(Linear):
+    """Exact linear combination of normal words."""
+
+    __slots__ = ()
 
     @staticmethod
     def generator(v: Variable) -> "ACPoly":
@@ -218,6 +291,9 @@ class ACPoly:
 
     def terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].key)
+
+    def _key_str(self, w: Word) -> str:
+        return repr(w)
 
     def coefficient(self, w: Word) -> Fraction:
         return self._terms.get(w, Fraction(0))
@@ -230,53 +306,6 @@ class ACPoly:
         for w in self._terms:
             out |= w.varset
         return out
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "ACPoly") -> "ACPoly":
-        if not isinstance(other, ACPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            _accumulate(acc, w, c)
-        return ACPoly(acc)
-
-    def __sub__(self, other: "ACPoly") -> "ACPoly":
-        if not isinstance(other, ACPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            _accumulate(acc, w, -c)
-        return ACPoly(acc)
-
-    def __neg__(self) -> "ACPoly":
-        return ACPoly({w: -c for w, c in self._terms.items()})
-
-    def _scaled(self, scalar) -> "ACPoly":
-        s = Fraction(scalar)
-        if not s:
-            return ACPoly()
-        return ACPoly({w: c * s for w, c in self._terms.items()})
-
-    def __mul__(self, scalar) -> "ACPoly":
-        if isinstance(scalar, (int, Fraction)):
-            return self._scaled(scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ACPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return format_linear((repr(w), c) for w, c in self.terms())
 
 
 def normalize_word(w: Word, order: WordOrder = DEFAULT_ORDER) -> ACPoly:

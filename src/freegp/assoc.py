@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .ac import _accumulate, format_linear
+from .ac import Linear, _accumulate
 
 __all__ = [
     "AssocPoly",
@@ -60,17 +60,10 @@ def _sort_sign(letters: tuple):
     return sign, tuple(out)
 
 
-class AssocPoly:
+class AssocPoly(Linear):
     """Exact linear combination of associative words."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        self._terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def zero() -> "AssocPoly":
-        return AssocPoly()
+    __slots__ = ()
 
     @staticmethod
     def one() -> "AssocPoly":
@@ -88,33 +81,11 @@ class AssocPoly:
     def terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
+    def _key_str(self, w: tuple) -> str:
+        return "*".join(str(l) for l in w)
+
     def letters(self) -> frozenset:
         return frozenset(l for w in self._terms for l in w)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            _accumulate(acc, w, c)
-        return AssocPoly(acc)
-
-    def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            _accumulate(acc, w, -c)
-        return AssocPoly(acc)
-
-    def __neg__(self) -> "AssocPoly":
-        return AssocPoly({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other) -> "AssocPoly":
         if isinstance(other, AssocPoly):
@@ -122,29 +93,8 @@ class AssocPoly:
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
                     _accumulate(acc, w1 + w2, c1 * c2)
-            return AssocPoly(acc)
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            if not s:
-                return AssocPoly()
-            return AssocPoly({w: c * s for w, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other) -> "AssocPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AssocPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return format_linear(
-            ("*".join(str(l) for l in w), c) for w, c in self.terms()
-        )
+            return self._new(acc)
+        return super().__mul__(other)
 
 
 def commutator(a: AssocPoly, b: AssocPoly) -> AssocPoly:
@@ -186,20 +136,16 @@ def is_lie_element(L: AssocPoly) -> bool:
     return _coproduct(L) == target
 
 
-class ExteriorElem:
+class ExteriorElem(Linear):
     """Element of the exterior algebra on the letter space."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        self._terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def zero() -> "ExteriorElem":
-        return ExteriorElem()
+    __slots__ = ()
 
     def terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def _key_str(self, w: tuple) -> str:
+        return "^".join(str(l) for l in w)
 
     def coefficient(self, letters: tuple) -> Fraction:
         sg = _sort_sign(tuple(letters))
@@ -207,20 +153,6 @@ class ExteriorElem:
             return Fraction(0)
         s, key = sg
         return s * self._terms.get(key, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "ExteriorElem") -> "ExteriorElem":
-        if not isinstance(other, ExteriorElem):
-            return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            _accumulate(acc, w, c)
-        return ExteriorElem(acc)
 
     def __mul__(self, other) -> "ExteriorElem":
         if isinstance(other, ExteriorElem):
@@ -232,29 +164,8 @@ class ExteriorElem:
                         continue
                     s, key = sg
                     _accumulate(acc, key, c1 * c2 * s)
-            return ExteriorElem(acc)
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            if not s:
-                return ExteriorElem()
-            return ExteriorElem({w: c * s for w, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other) -> "ExteriorElem":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExteriorElem) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return format_linear(
-            ("^".join(str(l) for l in w), c) for w, c in self.terms()
-        )
+            return self._new(acc)
+        return super().__mul__(other)
 
 
 def exterior_image(L: AssocPoly) -> ExteriorElem:

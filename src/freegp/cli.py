@@ -32,9 +32,12 @@ POLARIZATION_NOTE = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # The global flags are accepted before and after the subcommand.  They
+    # have no defaults here (main supplies them): each subcommand's copy
+    # would write its default over a flag given before the subcommand.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized search")
+    common.add_argument("--seed", type=int, help="seed for randomized search")
 
     parser = argparse.ArgumentParser(
         prog="freegp",
@@ -247,7 +250,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(json=False, seed=None))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         if code != 0 and "--json" in argv:

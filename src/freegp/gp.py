@@ -17,23 +17,19 @@ from typing import Mapping
 from .ac import (
     ACPoly,
     DEFAULT_ORDER,
+    Linear,
     Variable,
     Word,
     WordOrder,
     _accumulate,
     bracket_normal,
-    format_linear,
 )
 
 __all__ = [
     "Monomial",
     "GPPoly",
     "Weight",
-    "gp_mul",
-    "gp_bracket",
-    "weight",
     "fine_components",
-    "supports",
     "substitute",
     "is_polylinear",
     "variable_degrees",
@@ -50,17 +46,10 @@ def _monomial_key(m: Monomial):
     return (sum(w.degree for w in m), len(m), tuple(w.key for w in m))
 
 
-class GPPoly:
+class GPPoly(Linear):
     """Exact polynomial whose variables are normal bracket words."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self._terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def zero() -> "GPPoly":
-        return GPPoly()
+    __slots__ = ()
 
     @staticmethod
     def one() -> "GPPoly":
@@ -88,6 +77,9 @@ class GPPoly:
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: _monomial_key(kv[0]))
 
+    def _key_str(self, m: Monomial) -> str:
+        return "*".join(repr(w) for w in m)
+
     def coefficient(self, m: Monomial) -> Fraction:
         return self._terms.get(_sorted_factors(m), Fraction(0))
 
@@ -104,43 +96,15 @@ class GPPoly:
     def factor_words(self) -> frozenset[Word]:
         return frozenset(w for m in self._terms for w in m)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "GPPoly") -> "GPPoly":
-        if not isinstance(other, GPPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            _accumulate(acc, m, c)
-        return GPPoly(acc)
-
-    def __sub__(self, other: "GPPoly") -> "GPPoly":
-        if not isinstance(other, GPPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            _accumulate(acc, m, -c)
-        return GPPoly(acc)
-
-    def __neg__(self) -> "GPPoly":
-        return GPPoly({m: -c for m, c in self._terms.items()})
-
     def __mul__(self, other) -> "GPPoly":
         if isinstance(other, GPPoly):
             acc: dict[Monomial, Fraction] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     _accumulate(acc, _sorted_factors(m1 + m2), c1 * c2)
-            return GPPoly(acc)
+            return self._new(acc)
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            if not s:
-                return GPPoly()
-            return GPPoly({m: c * s for m, c in self._terms.items()})
+            return self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -162,26 +126,7 @@ class GPPoly:
                         s, w = bw
                         mono = _sorted_factors(rest1 + m2[:j] + m2[j + 1 :] + (w,), order)
                         _accumulate(acc, mono, c12 * s)
-        return GPPoly(acc)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GPPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return format_linear(
-            ("*".join(repr(w) for w in m), c) for m, c in self.terms()
-        )
-
-
-def gp_mul(f: GPPoly, g: GPPoly) -> GPPoly:
-    return f * g
-
-
-def gp_bracket(f: GPPoly, g: GPPoly, order: WordOrder = DEFAULT_ORDER) -> GPPoly:
-    return f.bracket(g, order)
+        return self._new(acc)
 
 
 @dataclass(frozen=True)
@@ -210,10 +155,6 @@ class Weight:
         return " + ".join(rendered)
 
 
-def weight(m: Monomial) -> Weight:
-    return Weight.of(m)
-
-
 def fine_components(f: GPPoly) -> list[tuple[Weight, GPPoly]]:
     """Partition of the monomials of `f` by weight; the parts sum to `f`."""
     buckets: dict[Weight, dict[Monomial, Fraction]] = {}
@@ -222,11 +163,6 @@ def fine_components(f: GPPoly) -> list[tuple[Weight, GPPoly]]:
     return [
         (w, GPPoly(terms)) for w, terms in sorted(buckets.items(), key=lambda kv: kv[0].parts)
     ]
-
-
-def supports(f: GPPoly) -> tuple[frozenset[Variable], frozenset[Word]]:
-    """(variables occurring, normal words occurring as factors)."""
-    return f.variables(), f.factor_words()
 
 
 def substitute(

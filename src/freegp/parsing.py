@@ -23,6 +23,7 @@ from .gp import GPPoly
 from .ratfunc import MultiPoly
 
 __all__ = [
+    "MAX_DEPTH",
     "ParseError",
     "Expr",
     "Term",
@@ -36,6 +37,11 @@ __all__ = [
     "to_assoc",
     "to_poly",
 ]
+
+# Deepest '{'/'(' nesting accepted.  Parsing and evaluation recurse once
+# per level, so deeper input would exhaust the interpreter's recursion
+# limit; it is a ParseError instead.
+MAX_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -137,6 +143,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open '{' and '(' around the current position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -198,19 +205,24 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "VAR":
             return VarFactor(self.advance().text)
+        if tok.kind not in ("{", "("):
+            self.fail(("variable", "'{'", "'('"))
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+        self.depth += 1
+        self.advance()
         if tok.kind == "{":
-            self.advance()
             left = self.parse_expr()
             self.expect(",")
             right = self.parse_expr()
             self.expect("}")
-            return BracketFactor(left, right)
-        if tok.kind == "(":
-            self.advance()
+            factor = BracketFactor(left, right)
+        else:
             inner = self.parse_expr()
             self.expect(")")
-            return GroupFactor(inner)
-        self.fail(("variable", "'{'", "'('"))
+            factor = GroupFactor(inner)
+        self.depth -= 1
+        return factor
 
 
 def parse(text: str) -> Expr:

@@ -14,19 +14,25 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .ac import format_linear
+from .ac import Linear, _accumulate
 
-__all__ = ["MultiPoly", "RatFunc", "partial_derivative"]
+__all__ = ["MultiPoly", "RatFunc"]
 
 
-class MultiPoly:
+class MultiPoly(Linear):
     """Polynomial over a fixed tuple of variable names."""
 
-    __slots__ = ("vars", "_terms")
+    __slots__ = ("vars",)
 
     def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.vars = tuple(vars)
         self._terms = dict(terms) if terms else {}
+
+    def _new(self, terms: dict) -> "MultiPoly":
+        out = object.__new__(MultiPoly)
+        out.vars = self.vars
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "MultiPoly":
@@ -53,56 +59,29 @@ class MultiPoly:
     def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def _check(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
             raise ValueError("polynomials over different variable tuples")
 
-    def __add__(self, other) -> "MultiPoly":
+    def _operand(self, other) -> "MultiPoly | None":
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.vars, other)
+            return MultiPoly.constant(self.vars, other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            return None
         self._check(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, Fraction(0)) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return MultiPoly(self.vars, acc)
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self._terms.items()})
+        return other
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            if not s:
-                return MultiPoly(self.vars)
-            return MultiPoly(self.vars, {e: c * s for e, c in self._terms.items()})
+            return self._scaled(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
         acc: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return MultiPoly(self.vars, acc)
+                _accumulate(acc, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return self._new(acc)
 
     __rmul__ = __mul__
 
@@ -118,12 +97,10 @@ class MultiPoly:
         if name not in self.vars:
             raise ValueError(f"unknown variable {name!r}")
         i = self.vars.index(name)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self._terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                acc[e2] = acc.get(e2, Fraction(0)) + c * e[i]
-        return MultiPoly(self.vars, {e: c for e, c in acc.items() if c})
+        # distinct exponents stay distinct, so no two terms meet
+        return self._new(
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self._terms.items() if e[i]}
+        )
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
@@ -145,7 +122,7 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self._terms.items())))
 
-    def _monomial_str(self, e: tuple[int, ...]) -> str:
+    def _key_str(self, e: tuple[int, ...]) -> str:
         pieces = []
         for name, k in zip(self.vars, e):
             if k == 1:
@@ -153,9 +130,6 @@ class MultiPoly:
             elif k > 1:
                 pieces.append(f"{name}^{k}")
         return "*".join(pieces)
-
-    def __repr__(self) -> str:
-        return format_linear((self._monomial_str(e), c) for e, c in self.terms())
 
 
 class RatFunc:
@@ -284,7 +258,3 @@ class RatFunc:
         if r.den == MultiPoly.one(self.vars):
             return repr(r.num)
         return f"({r.num!r})/({r.den!r})"
-
-
-def partial_derivative(r: RatFunc, name: str) -> RatFunc:
-    return r.derivative(name)

@@ -1,10 +1,17 @@
 """Command-line interface: dispatch, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from freegp.cli import main
+from freegp.parsing import MAX_DEPTH
+
+J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
 
 
 def run(capsys, *argv):
@@ -110,6 +117,17 @@ class TestJsonSchema:
         _, doc = run_json(capsys, "normalize", "x1")
         assert doc["meta"] == {"seed": None}
 
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "{x2,x1} + x3"),
+        ("witness", "--m", "4", J3_T),
+    ])
+    def test_global_flags_before_the_subcommand(self, capsys, argv):
+        flags = ("--json", "--seed", "3")
+        before = run(capsys, *flags, *argv)
+        after = run(capsys, *argv, *flags)
+        assert before == after
+        assert json.loads(before[1])["meta"] == {"seed": 3}
+
 
 class TestErrorPaths:
     def test_parse_error_exit_2(self, capsys):
@@ -132,6 +150,25 @@ class TestErrorPaths:
         code, doc = run_json(capsys, "reduce", "x1 - x1")
         assert code == 1 and doc["status"] == "error"
 
+    @staticmethod
+    def nested(opener: str, depth: int) -> str:
+        if opener == "{":
+            return "{" * depth + "x1" + ",x2}" * depth
+        return "(" * depth + "x1" + ")" * depth
+
+    @pytest.mark.parametrize("opener", ["{", "("])
+    def test_nesting_at_the_bound(self, capsys, opener):
+        code, doc = run_json(capsys, "normalize", self.nested(opener, MAX_DEPTH))
+        assert MAX_DEPTH == 200
+        assert code == 0 and doc["status"] == "ok"
+
+    @pytest.mark.parametrize("opener", ["{", "("])
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 600])
+    def test_nesting_past_the_bound_exit_2(self, capsys, opener, depth):
+        code, doc = run_json(capsys, "normalize", self.nested(opener, depth))
+        assert code == 2 and doc["status"] == "error"
+        assert "nesting deeper than 200" in doc["result"]
+
     def test_usage_error_with_json(self, capsys):
         code = main(["no-such-command", "--json"])
         captured = capsys.readouterr()
@@ -150,3 +187,24 @@ class TestDeterminism:
         args = ("witness", "--model", "gps", "--m", "2", "--budget", "10",
                 "--seed", "5", "{t1,{t2,{t3,t4}}}", "--json")
         assert run(capsys, *args) == run(capsys, *args)
+
+    def test_byte_identical_across_hash_seeds(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        commands = [
+            ["normalize", "{x3,{x2,x1}} + x2*{x4,x1} - x1*x2"],
+            ["jacobian-space", "--n", "3"],
+            ["witness", "--m", "4", J3_T],
+        ]
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "freegp.cli", *argv],
+                    env=env, capture_output=True, check=True,
+                ).stdout
+                for argv in commands
+            ]
+            outputs.add(tuple(runs))
+        assert len(outputs) == 1
