@@ -2,12 +2,10 @@
 
 from .ac import (
     ACPoly,
-    DEFAULT_ORDER,
     FlipOrbit,
     OperatorWord,
     Variable,
     Word,
-    WordOrder,
     ac_bracket,
     enumerate_polylinear_basis,
     flip,

@@ -4,9 +4,11 @@ Nonassociative words over a set of generators are binary trees.  The
 bracket satisfies {a,b} = -{b,a} in characteristic zero (so {a,a} = 0),
 and every word rewrites to a signed *normal* word or to zero; normal
 words (each node carries its smaller child on the left) form a linear
-basis.  Everything here is exact and immutable: coefficients are
-`fractions.Fraction`, rewriting is deterministic for a fixed word order,
-and no operation mutates its arguments.
+basis.  "Smaller" is the one word order, `Word.key`: degree first, then
+the left subword, then the right subword, with generator order at the
+leaves.  Everything here is exact and immutable: coefficients are
+`fractions.Fraction`, rewriting is deterministic, and no operation
+mutates its arguments.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Variable",
     "Word",
-    "WordOrder",
-    "DEFAULT_ORDER",
     "Linear",
     "ACPoly",
     "OperatorWord",
@@ -68,7 +69,7 @@ class Word:
     """A nonassociative word: a generator leaf or a bracket of two words.
 
     Instances are immutable, compare structurally, and carry their
-    degree, leaf sequence and default order key precomputed.
+    degree, leaf sequence and order key precomputed.
     """
 
     __slots__ = ("var", "left", "right", "degree", "leaves", "varset", "key", "_hash")
@@ -127,63 +128,35 @@ class Word:
         return "{" + repr(self.left) + "," + repr(self.right) + "}"
 
 
-@dataclass(frozen=True)
-class WordOrder:
-    """Total order on words: degree first, then left subword, then right
-    subword, with generator order at the leaves.
-
-    When `elevated` is set, every word containing that variable is
-    greater than every word avoiding it (the order used implicitly by
-    operator normal forms); ties on the flag fall back to the default
-    comparison at every level.
-    """
-
-    elevated: Variable | None = None
-
-    def key(self, w: Word):
-        if self.elevated is None:
-            return w.key
-        return self._elevated_key(w)
-
-    def _elevated_key(self, w: Word):
-        flag = 1 if self.elevated in w.varset else 0
-        if w.is_leaf:
-            return (flag, w.key)
-        return (flag, (w.degree, self._elevated_key(w.left), self._elevated_key(w.right)))
-
-    def less(self, a: Word, b: Word) -> bool:
-        return self.key(a) < self.key(b)
+_word_key = attrgetter("key")  # sort key of the one word order
 
 
-DEFAULT_ORDER = WordOrder()
-
-
-def _normal_form(w: Word, order: WordOrder):
+def _normal_form(w: Word):
     """(sign, normal word) representing the class of `w`, or None if zero."""
     if w.is_leaf:
         return 1, w
-    nl = _normal_form(w.left, order)
+    nl = _normal_form(w.left)
     if nl is None:
         return None
-    nr = _normal_form(w.right, order)
+    nr = _normal_form(w.right)
     if nr is None:
         return None
     sl, ul = nl
     sr, ur = nr
-    if ul == ur:
+    bw = bracket_normal(ul, ur)
+    if bw is None:
         return None  # {a,a} = 0 in characteristic zero
-    if order.less(ul, ur):
-        return sl * sr, Word.node(ul, ur)
-    return -sl * sr, Word.node(ur, ul)
+    return sl * sr * bw[0], bw[1]
 
 
-def bracket_normal(u: Word, v: Word, order: WordOrder = DEFAULT_ORDER):
-    """Bracket of two words already normal under `order`: (sign, word) or None."""
-    if u == v:
-        return None
-    if order.less(u, v):
+def bracket_normal(u: Word, v: Word):
+    """Bracket of two normal words: (sign, normal word), or None if u == v."""
+    ku, kv = u.key, v.key
+    if ku < kv:
         return 1, Word.node(u, v)
-    return -1, Word.node(v, u)
+    if kv < ku:
+        return -1, Word.node(v, u)
+    return None  # keys are equal only for equal words
 
 
 def _accumulate(acc: dict, key, delta: Fraction) -> None:
@@ -308,26 +281,26 @@ class ACPoly(Linear):
         return out
 
 
-def normalize_word(w: Word, order: WordOrder = DEFAULT_ORDER) -> ACPoly:
+def normalize_word(w: Word) -> ACPoly:
     """Canonical form of a raw word: a signed normal word, or zero."""
-    nf = _normal_form(w, order)
+    nf = _normal_form(w)
     if nf is None:
         return ACPoly.zero()
     s, u = nf
     return ACPoly({u: Fraction(s)})
 
 
-def is_normal(w: Word, order: WordOrder = DEFAULT_ORDER) -> bool:
-    nf = _normal_form(w, order)
+def is_normal(w: Word) -> bool:
+    nf = _normal_form(w)
     return nf is not None and nf[0] == 1 and nf[1] == w
 
 
-def ac_bracket(f: ACPoly, g: ACPoly, order: WordOrder = DEFAULT_ORDER) -> ACPoly:
+def ac_bracket(f: ACPoly, g: ACPoly) -> ACPoly:
     """Bilinear extension of the bracket, renormalized."""
     acc: dict[Word, Fraction] = {}
     for u, a in f._terms.items():
         for v, b in g._terms.items():
-            bw = bracket_normal(u, v, order)
+            bw = bracket_normal(u, v)
             if bw is None:
                 continue
             s, w = bw
@@ -354,16 +327,19 @@ class OperatorWord:
             w = Word.node(u, w)
         return w
 
-    def to_ac(self, order: WordOrder = DEFAULT_ORDER) -> ACPoly:
-        return self.sign * normalize_word(self.expand(), order)
+    def to_ac(self) -> ACPoly:
+        return self.sign * normalize_word(self.expand())
 
 
-def i_normal_form(w: Word, x: Variable, order: WordOrder = DEFAULT_ORDER) -> OperatorWord:
+def i_normal_form(w: Word, x: Variable) -> OperatorWord:
     """Rewrite a word linear in `x` as a signed operator chain on `x`.
 
     The expansion of the result is equal to `w` in the algebra: pulling
     `x` to the innermost right position costs one sign per swap, and
-    each factor is normalized on the way.
+    each factor is normalized on the way.  It is the normal form of `w`
+    under the order that puts every word containing `x` above every word
+    avoiding it (the test oracle `elevated_normal_form` in
+    `tests/helpers.py`).
     """
     n = w.count(x)
     if n == 0:
@@ -379,7 +355,7 @@ def i_normal_form(w: Word, x: Variable, order: WordOrder = DEFAULT_ORDER) -> Ope
         else:
             side, cur = cur.right, cur.left
             sign = -sign
-        nf = _normal_form(side, order)
+        nf = _normal_form(side)
         if nf is None:
             raise ValueError("word is zero in the algebra and has no operator form")
         s, u = nf
@@ -388,12 +364,12 @@ def i_normal_form(w: Word, x: Variable, order: WordOrder = DEFAULT_ORDER) -> Ope
     return OperatorWord(sign, tuple(factors), x)
 
 
-def height(w: Word, x: Variable, order: WordOrder = DEFAULT_ORDER) -> int:
+def height(w: Word, x: Variable) -> int:
     """Number of bracket multiplications enclosing `x` in the operator form."""
-    return len(i_normal_form(w, x, order).factors)
+    return len(i_normal_form(w, x).factors)
 
 
-def flip(f: ACPoly, x: Variable, order: WordOrder = DEFAULT_ORDER) -> ACPoly:
+def flip(f: ACPoly, x: Variable) -> ACPoly:
     """The involution sending sign*ad(u1)...ad(uk)(x) to
     -(-1)^k * sign*ad(uk)...ad(u1)(x), extended linearly.
 
@@ -401,10 +377,10 @@ def flip(f: ACPoly, x: Variable, order: WordOrder = DEFAULT_ORDER) -> ACPoly:
     """
     acc: dict[Word, Fraction] = {}
     for word, c in f._terms.items():
-        op = i_normal_form(word, x, order)
+        op = i_normal_form(word, x)
         k = len(op.factors)
         flipped = OperatorWord(-op.sign * (-1) ** k, tuple(reversed(op.factors)), x)
-        for u, s in flipped.to_ac(order)._terms.items():
+        for u, s in flipped.to_ac()._terms.items():
             _accumulate(acc, u, c * s)
     return ACPoly(acc)
 
@@ -425,7 +401,7 @@ def is_polylinear(f: ACPoly) -> bool:
     return all(w.degree == n and w.varset == vs for w in f._terms)
 
 
-def flip_orbit(f: ACPoly, max_size: int = 1000, order: WordOrder = DEFAULT_ORDER) -> FlipOrbit:
+def flip_orbit(f: ACPoly, max_size: int = 1000) -> FlipOrbit:
     """Closure of {f} under the flips of all its variables (breadth first)."""
     if not is_polylinear(f):
         raise ValueError("flip orbits are defined for polylinear inputs")
@@ -437,7 +413,7 @@ def flip_orbit(f: ACPoly, max_size: int = 1000, order: WordOrder = DEFAULT_ORDER
         nxt = []
         for g in frontier:
             for v in variables:
-                h = flip(g, v, order)
+                h = flip(g, v)
                 if h in seen:
                     continue
                 if len(out) >= max_size:
@@ -449,9 +425,7 @@ def flip_orbit(f: ACPoly, max_size: int = 1000, order: WordOrder = DEFAULT_ORDER
     return FlipOrbit(tuple(out), False)
 
 
-def enumerate_polylinear_basis(
-    variables: Sequence[Variable], order: WordOrder = DEFAULT_ORDER
-) -> list[Word]:
+def enumerate_polylinear_basis(variables: Sequence[Variable]) -> list[Word]:
     """All normal words containing each given variable exactly once.
 
     There are (2n-3)!! of them for n >= 2 variables.
@@ -480,11 +454,8 @@ def enumerate_polylinear_basis(
                     right_set = s - left_set
                     for u in build(left_set):
                         for v in build(right_set):
-                            if order.less(u, v):
-                                res.append(Word.node(u, v))
-                            else:
-                                res.append(Word.node(v, u))
-            res.sort(key=order.key)
+                            res.append(bracket_normal(u, v)[1])
+            res.sort(key=_word_key)
         memo[s] = res
         return res
 

@@ -25,6 +25,15 @@ from .assoc import is_lie_element
 from .ratfunc import RatFunc
 from .realize import Realization, evaluate_gp, identity_witness_search
 
+# Bounds on the sizes that set the work of `realize` and `witness`: the
+# random witness polynomial has O(m^2) terms over 2m variables.
+MAX_SIZE = 12  # realize --n, witness --m
+MAX_BUDGET = 1000  # witness --budget
+
+# Options that take a value; `main` skips those values when it names the
+# subcommand of a command line it cannot parse.
+_VALUE_OPTIONS = frozenset({"--seed", "--n", "--var", "--model", "--assign", "--m", "--budget"})
+
 POLARIZATION_NOTE = (
     "linearize keeps the multilinear component without dividing by d!; "
     "fresh copies take the next unused indices of the same letter class"
@@ -187,7 +196,13 @@ def _parse_assignments(pairs, realization):
     return assignment
 
 
+def _check_bound(option: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError(f"{option}={value} exceeds the bound {bound}")
+
+
 def _cmd_realize(args):
+    _check_bound("--n", args.n, MAX_SIZE)
     realization = Realization(args.model, args.n)
     assignment = _parse_assignments(args.assign, realization)
     value = evaluate_gp(to_gp(parse(args.expr)), assignment, realization)
@@ -195,6 +210,8 @@ def _cmd_realize(args):
 
 
 def _cmd_witness(args):
+    _check_bound("--m", args.m, MAX_SIZE)
+    _check_bound("--budget", args.budget, MAX_BUDGET)
     realization = Realization(args.model, args.m)
     seed = args.seed if args.seed is not None else 0
     witness = identity_witness_search(
@@ -246,6 +263,17 @@ def _emit(command: str, status: str, result, seed, as_json: bool, human=None) ->
         print(line)
 
 
+def _command_name(argv) -> str:
+    """The first argument that is neither an option nor an option's value."""
+    args = iter(argv)
+    for a in args:
+        if a in _VALUE_OPTIONS:
+            next(args, None)
+        elif not a.startswith("-"):
+            return a
+    return ""
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -254,8 +282,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         if code != 0 and "--json" in argv:
-            command = next((a for a in argv if not a.startswith("-")), "")
-            _emit(command, "error", "usage error", None, True)
+            _emit(_command_name(argv), "error", "usage error", None, True)
         return code
     try:
         result, human = _HANDLERS[args.command](args)

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .ac import (
-    ACPoly,
-    DEFAULT_ORDER,
-    Linear,
-    Variable,
-    Word,
-    WordOrder,
-    _accumulate,
-    bracket_normal,
-)
+from .ac import ACPoly, Linear, Variable, Word, _accumulate, _word_key, bracket_normal
 
 __all__ = [
     "Monomial",
@@ -38,8 +29,8 @@ __all__ = [
 Monomial = tuple[Word, ...]
 
 
-def _sorted_factors(words, order: WordOrder = DEFAULT_ORDER) -> Monomial:
-    return tuple(sorted(words, key=order.key))
+def _sorted_factors(words) -> Monomial:
+    return tuple(sorted(words, key=_word_key))
 
 
 def _monomial_key(m: Monomial):
@@ -109,7 +100,7 @@ class GPPoly(Linear):
 
     __rmul__ = __mul__
 
-    def bracket(self, other: "GPPoly", order: WordOrder = DEFAULT_ORDER) -> "GPPoly":
+    def bracket(self, other: "GPPoly") -> "GPPoly":
         """Leibniz expansion to pairwise word brackets, recanonicalized."""
         if not isinstance(other, GPPoly):
             raise TypeError("bracket expects a GPPoly")
@@ -120,11 +111,11 @@ class GPPoly(Linear):
                 for m2, c2 in other._terms.items():
                     c12 = c1 * c2
                     for j, v in enumerate(m2):
-                        bw = bracket_normal(u, v, order)
+                        bw = bracket_normal(u, v)
                         if bw is None:
                             continue
                         s, w = bw
-                        mono = _sorted_factors(rest1 + m2[:j] + m2[j + 1 :] + (w,), order)
+                        mono = _sorted_factors(rest1 + m2[:j] + m2[j + 1 :] + (w,))
                         _accumulate(acc, mono, c12 * s)
         return self._new(acc)
 
@@ -165,9 +156,7 @@ def fine_components(f: GPPoly) -> list[tuple[Weight, GPPoly]]:
     ]
 
 
-def substitute(
-    f: GPPoly, images: Mapping[Variable, GPPoly], order: WordOrder = DEFAULT_ORDER
-) -> GPPoly:
+def substitute(f: GPPoly, images: Mapping[Variable, GPPoly]) -> GPPoly:
     """The homomorphism sending each mapped generator to its image.
 
     Unmapped generators stay fixed; brackets of images are expanded by
@@ -182,7 +171,7 @@ def substitute(
         if w.is_leaf:
             res = images[w.var] if w.var in images else GPPoly.generator(w.var)
         else:
-            res = image_of(w.left).bracket(image_of(w.right), order)
+            res = image_of(w.left).bracket(image_of(w.right))
         cache[w] = res
         return res
 

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ac import (
-    ACPoly,
-    DEFAULT_ORDER,
-    Variable,
-    Word,
-    WordOrder,
-    ac_bracket,
-    enumerate_polylinear_basis,
-    i_normal_form,
-)
+from .ac import ACPoly, Variable, Word, ac_bracket, enumerate_polylinear_basis, i_normal_form
 from .assoc import AssocPoly
 from .gp import (
     GPPoly,
@@ -57,12 +48,12 @@ __all__ = [
 ]
 
 
-def jacobiator(a: ACPoly, b: ACPoly, c: ACPoly, order: WordOrder = DEFAULT_ORDER) -> ACPoly:
+def jacobiator(a: ACPoly, b: ACPoly, c: ACPoly) -> ACPoly:
     """Cyclic sum {{a,b},c} + {{b,c},a} + {{c,a},b}; zero iff Jacobi holds."""
     return (
-        ac_bracket(ac_bracket(a, b, order), c, order)
-        + ac_bracket(ac_bracket(b, c, order), a, order)
-        + ac_bracket(ac_bracket(c, a, order), b, order)
+        ac_bracket(ac_bracket(a, b), c)
+        + ac_bracket(ac_bracket(b, c), a)
+        + ac_bracket(ac_bracket(c, a), b)
     )
 
 
@@ -108,17 +99,17 @@ def is_jacobian(f: GPPoly) -> bool:
     return all(is_derivation_in(f, v) for v in sorted(f.variables()))
 
 
-def multiplication_operator(f: ACPoly, x: Variable, order: WordOrder = DEFAULT_ORDER) -> AssocPoly:
+def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
     """f, linear in x, as an associative word in bracket-multiplication
     letters applied to x; the letters are the normal factor words."""
     acc = AssocPoly.zero()
     for w, c in f.terms():
-        op = i_normal_form(w, x, order)
+        op = i_normal_form(w, x)
         acc = acc + AssocPoly.word(op.factors, c * op.sign)
     return acc
 
 
-def jacobian_space(n: int, max_n: int = 6, order: WordOrder = DEFAULT_ORDER) -> list[ACPoly]:
+def jacobian_space(n: int, max_n: int = 6) -> list[ACPoly]:
     """Basis of the polylinear elements on x1..xn that are Jacobian.
 
     Solves the exact linear system "derivation difference vanishes for
@@ -131,7 +122,7 @@ def jacobian_space(n: int, max_n: int = 6, order: WordOrder = DEFAULT_ORDER) -> 
         raise ValueError(f"n={n} exceeds the configured bound {max_n}")
     xs = [Variable("x", i) for i in range(1, n + 1)]
     y, z = Variable("x", n + 1), Variable("x", n + 2)
-    words = enumerate_polylinear_basis(xs, order)
+    words = enumerate_polylinear_basis(xs)
     reducer = RowReducer(len(words))
     for xi in xs:
         rows: dict[Monomial, list[Fraction]] = {}
@@ -304,11 +295,11 @@ def _partitions_23(items: Sequence[Variable]):
                 yield (block, *tail)
 
 
-def _block_element(block: tuple[Variable, ...], order: WordOrder) -> ACPoly:
+def _block_element(block: tuple[Variable, ...]) -> ACPoly:
     gens = [ACPoly.generator(v) for v in block]
     if len(block) == 2:
-        return ac_bracket(gens[0], gens[1], order)
-    return jacobiator(gens[0], gens[1], gens[2], order)
+        return ac_bracket(gens[0], gens[1])
+    return jacobiator(gens[0], gens[1], gens[2])
 
 
 @dataclass(frozen=True)
@@ -325,9 +316,7 @@ class ProductDecomposition:
         return total
 
 
-def jacobian_product_decompose(
-    f: GPPoly, order: WordOrder = DEFAULT_ORDER
-) -> ProductDecomposition:
+def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
     """Exact coefficients of f over products of pair brackets and
     three-variable jacobiators, one product per 2/3-partition of the
     support.  Fails when the support size is not a sum of 2s and 3s or
@@ -344,7 +333,7 @@ def jacobian_product_decompose(
     for part in partitions:
         g = GPPoly.one()
         for block in part:
-            g = g * GPPoly.from_ac(_block_element(block, order))
+            g = g * GPPoly.from_ac(_block_element(block))
         spanning.append(g)
     monomials = sorted(
         {m for g in spanning for m in g._terms} | set(f._terms),

@@ -102,9 +102,6 @@ class MultiPoly(Linear):
             {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self._terms.items() if e[i]}
         )
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the deg-lex greatest monomial (0 for the zero poly)."""
         if not self._terms:

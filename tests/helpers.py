@@ -35,6 +35,32 @@ def xvars(n: int) -> list[Variable]:
     return [Variable("x", i) for i in range(1, n + 1)]
 
 
+def elevated_key(w: Word, x: Variable):
+    """`Word.key`, except that every word containing `x` is greater than
+    every word avoiding it; ties on that flag fall back to `Word.key`
+    at every level."""
+    flag = x in w.varset
+    if w.is_leaf:
+        return (flag, w.key)
+    return (flag, (w.degree, elevated_key(w.left, x), elevated_key(w.right, x)))
+
+
+def elevated_normal_form(w: Word, x: Variable):
+    """Test oracle for operator forms: (sign, normal word) of `w` under
+    the elevated order of `x`, or None if `w` is zero."""
+    if w.is_leaf:
+        return 1, w
+    nl, nr = elevated_normal_form(w.left, x), elevated_normal_form(w.right, x)
+    if nl is None or nr is None:
+        return None
+    (sl, ul), (sr, ur) = nl, nr
+    if ul == ur:
+        return None
+    if elevated_key(ul, x) < elevated_key(ur, x):
+        return sl * sr, Word.node(ul, ur)
+    return -sl * sr, Word.node(ur, ul)
+
+
 def left_normed(variables) -> Word:
     """{v1,{v2,...{v_{n-1},v_n}...}} as a raw word."""
     ws = [Word.leaf(v) for v in variables]

@@ -11,7 +11,6 @@ from freegp.ac import (
     ACPoly,
     Variable,
     Word,
-    WordOrder,
     ac_bracket,
     enumerate_polylinear_basis,
     flip,
@@ -23,7 +22,17 @@ from freegp.ac import (
 )
 from freegp.assoc import permutation_sign
 
-from helpers import J3_TEXT, V, ac_polys, acp, left_normed, raw_words, word, xvars
+from helpers import (
+    J3_TEXT,
+    V,
+    ac_polys,
+    acp,
+    elevated_normal_form,
+    left_normed,
+    raw_words,
+    word,
+    xvars,
+)
 
 
 class TestNormalize:
@@ -196,8 +205,7 @@ class TestOperatorForm:
         w = rng.choice(words)
         x = rng.choice(sorted(w.varset))
         op = i_normal_form(w, x)
-        elevated = WordOrder(elevated=x)
-        assert is_normal(op.expand(), elevated)
+        assert elevated_normal_form(op.expand(), x) == (1, op.expand())
         assert all(x not in u.varset for u in op.factors)
 
     def test_matches_normalization_under_elevated_order(self):
@@ -207,8 +215,7 @@ class TestOperatorForm:
             for w in enumerate_polylinear_basis(xvars(n)):
                 for x in sorted(w.varset):
                     op = i_normal_form(w, x)
-                    elevated = WordOrder(elevated=x)
-                    [(u, c)] = normalize_word(w, elevated).terms()
+                    c, u = elevated_normal_form(w, x)
                     spine = []
                     cur = u
                     while not cur.is_leaf:

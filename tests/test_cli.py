@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, JSON schema, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from freegp.cli import main
+from freegp.cli import MAX_BUDGET, MAX_SIZE, _VALUE_OPTIONS, build_parser, main
 from freegp.parsing import MAX_DEPTH
 
 J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
@@ -175,6 +176,50 @@ class TestErrorPaths:
         assert code == 2
         doc = json.loads(captured.out)
         assert doc["status"] == "error"
+
+    @pytest.mark.parametrize("argv", [
+        ("--seed", "3", "--json", "nosuch"),
+        ("--json", "--seed", "3", "nosuch", "x1"),
+        ("--seed=3", "--json", "nosuch"),
+        ("nosuch", "--json", "--seed", "3"),
+    ])
+    def test_usage_error_names_the_command_not_a_flag_value(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["command"] == "nosuch"
+
+    def test_value_options_match_the_parser(self):
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        taking_values = {
+            option
+            for p in (parser, *commands.choices.values())
+            for action in p._actions
+            if action.nargs != 0
+            for option in action.option_strings
+        }
+        assert taking_values == _VALUE_OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ("witness", "--m", str(MAX_SIZE + 1), J3_T),
+        ("witness", "--m", "2", "--budget", str(MAX_BUDGET + 1), J3_T),
+        ("witness", "--m", "2000", "--budget", "100000", J3_T),
+        ("realize", "--model", "gps", "--n", str(MAX_SIZE + 1), "--assign", "t1=x1", "t1"),
+    ])
+    def test_sizes_past_the_bounds_exit_1(self, capsys, argv):
+        assert (MAX_SIZE, MAX_BUDGET) == (12, 1000)
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and doc["status"] == "error"
+        assert "exceeds the bound" in doc["result"]
+
+    def test_sizes_at_the_bounds_are_accepted(self, capsys):
+        code, doc = run_json(
+            capsys, "realize", "--model", "gps", "--n", "12",
+            "--assign", "t1=x12", "--assign", "t2=y12", "{t1,t2}",
+        )
+        assert code == 0 and doc["result"] == "y1"
+        code, doc = run_json(capsys, "witness", "--m", "12", "--budget", "1000", J3_T)
+        assert code == 0 and doc["result"]["method"] == "structured"
 
 
 class TestDeterminism:
