@@ -22,7 +22,6 @@ from .identities import (
 )
 from .parsing import ParseError, gp_to_ac, parse, to_assoc, to_gp, to_poly
 from .assoc import is_lie_element
-from .ratfunc import RatFunc
 from .realize import Realization, evaluate_gp, identity_witness_search
 
 # Bounds on the sizes that set the work of `realize` and `witness`: the
@@ -191,8 +190,9 @@ def _parse_assignments(pairs, realization):
         if not eq:
             raise ParseError(f"bad assignment {item!r}; use t1=EXPR")
         target = _parse_variable(name.strip())
-        poly = to_poly(parse(text), realization.var_names)
-        assignment[target] = RatFunc(poly)
+        if target in assignment:
+            raise ParseError(f"repeated assignment to {target.name}")
+        assignment[target] = to_poly(parse(text), realization.var_names)
     return assignment
 
 

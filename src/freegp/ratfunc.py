@@ -5,7 +5,8 @@ rational coefficients.  Rational functions keep numerator and
 denominator unreduced; equality and zero tests go through numerator
 cross-multiplication, so no multivariate gcd is ever needed.  An
 optional content normalization bounds growth and fixes signs for
-printing.
+printing.  Realizations compute in `MultiPoly`; a `RatFunc` operand
+takes over any mixed product or sum through its reflected operators.
 """
 
 from __future__ import annotations
@@ -144,22 +145,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def constant(cls, vars: Sequence[str], c) -> "RatFunc":
-        return cls(MultiPoly.constant(vars, c))
-
-    @classmethod
-    def zero(cls, vars: Sequence[str]) -> "RatFunc":
-        return cls(MultiPoly.zero(vars))
-
-    @classmethod
-    def one(cls, vars: Sequence[str]) -> "RatFunc":
-        return cls(MultiPoly.one(vars))
-
-    @classmethod
-    def variable(cls, vars: Sequence[str], name: str) -> "RatFunc":
-        return cls(MultiPoly.variable(vars, name))
-
     @property
     def vars(self) -> tuple[str, ...]:
         return self.num.vars
@@ -174,7 +159,7 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFunc.constant(self.vars, other)
+            return RatFunc(MultiPoly.constant(self.vars, other))
         if isinstance(other, MultiPoly):
             return RatFunc(other)
         return None

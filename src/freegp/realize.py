@@ -1,4 +1,4 @@
-"""Rational-function realizations of the generic Poisson bracket.
+"""Differential realizations of the generic Poisson bracket.
 
 On the field of rational functions in x1,y1,...,xn,yn the bracket
 {a,b} = sum_i d_i(a) d'_i(b) - d_i(b) d'_i(a) is a Poisson bracket when
@@ -8,6 +8,11 @@ xi'_i = d/dy_i do not commute, and the same formula then gives a
 generic Poisson bracket that fails Jacobi; staggered generator
 assignments turn suitable bracket products into nonzero monomials in
 the y variables, certifying non-identities.
+
+Both derivations and the product keep polynomials, so evaluation is in
+the polynomial ring: `MultiPoly` in, `MultiPoly` out.  Rational-function
+inputs (`freegp.ratfunc.RatFunc`) are accepted as well and give a
+`RatFunc` back, through its reflected operators.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Mapping
 
 from .ac import Variable, Word
 from .gp import GPPoly, is_polylinear
-from .ratfunc import MultiPoly, RatFunc
+from .ratfunc import MultiPoly
 
 __all__ = [
     "Realization",
@@ -54,13 +59,13 @@ class Realization:
             out.append(f"y{i}")
         return tuple(out)
 
-    def variable(self, name: str) -> RatFunc:
-        return RatFunc.variable(self.var_names, name)
+    def variable(self, name: str) -> MultiPoly:
+        return MultiPoly.variable(self.var_names, name)
 
-    def constant(self, c) -> RatFunc:
-        return RatFunc.constant(self.var_names, c)
+    def constant(self, c) -> MultiPoly:
+        return MultiPoly.constant(self.var_names, c)
 
-    def first_derivation(self, a: RatFunc, i: int) -> RatFunc:
+    def first_derivation(self, a: MultiPoly, i: int) -> MultiPoly:
         """d/dx_i for poisson; y_{i+1 mod n} * d/dx_i for gps."""
         d = a.derivative(f"x{i}")
         if self.kind == "poisson":
@@ -68,12 +73,12 @@ class Realization:
         j = i + 1 if i < self.n else 1
         return self.variable(f"y{j}") * d
 
-    def second_derivation(self, a: RatFunc, i: int) -> RatFunc:
+    def second_derivation(self, a: MultiPoly, i: int) -> MultiPoly:
         return a.derivative(f"y{i}")
 
 
-def realized_bracket(a: RatFunc, b: RatFunc, realization: Realization) -> RatFunc:
-    total = RatFunc.zero(realization.var_names)
+def realized_bracket(a: MultiPoly, b: MultiPoly, realization: Realization) -> MultiPoly:
+    total = MultiPoly.zero(realization.var_names)
     for i in range(1, realization.n + 1):
         total = total + (
             realization.first_derivation(a, i) * realization.second_derivation(b, i)
@@ -83,16 +88,16 @@ def realized_bracket(a: RatFunc, b: RatFunc, realization: Realization) -> RatFun
 
 
 def evaluate_gp(
-    f: GPPoly, assignment: Mapping[Variable, RatFunc], realization: Realization
-) -> RatFunc:
+    f: GPPoly, assignment: Mapping[Variable, MultiPoly], realization: Realization
+) -> MultiPoly:
     """Image of f under the homomorphism extending the assignment, with
-    the realized bracket and the field product."""
+    the realized bracket and the ordinary product."""
     missing = sorted(f.variables() - set(assignment))
     if missing:
         raise ValueError(f"assignment does not cover {missing[0]}")
-    cache: dict[Word, RatFunc] = {}
+    cache: dict[Word, MultiPoly] = {}
 
-    def eval_word(w: Word) -> RatFunc:
+    def eval_word(w: Word) -> MultiPoly:
         got = cache.get(w)
         if got is not None:
             return got
@@ -103,7 +108,7 @@ def evaluate_gp(
         cache[w] = res
         return res
 
-    total = RatFunc.zero(realization.var_names)
+    total = MultiPoly.zero(realization.var_names)
     for m, c in f._terms.items():
         g = realization.constant(c)
         for w in m:
@@ -138,27 +143,27 @@ def _witness_plan(f: GPPoly):
     return chosen, starts, minimal
 
 
-def _staggered_assignment(plan, n: int) -> dict[Variable, RatFunc] | None:
+def _staggered_assignment(plan, n: int) -> dict[Variable, MultiPoly] | None:
     """Build the staggered x/y assignment over n derivation pairs, or
     None when the generators it mentions do not all exist."""
     chosen, starts, minimal = plan
     if n < minimal - 1:  # the largest x index is minimal - 1
         return None
     names = Realization("gps", n).var_names
-    assignment: dict[Variable, RatFunc] = {}
+    assignment: dict[Variable, MultiPoly] = {}
     for w, k in zip(chosen, starts):
         spine = []
         cur = w
         while not cur.is_leaf:
             spine.append(cur.left)
             cur = cur.right
-        assignment[cur.var] = RatFunc.variable(names, f"y{k}")
+        assignment[cur.var] = MultiPoly.variable(names, f"y{k}")
         for offset, leafw in enumerate(reversed(spine)):
-            assignment[leafw.var] = RatFunc.variable(names, f"x{k + offset}")
+            assignment[leafw.var] = MultiPoly.variable(names, f"x{k + offset}")
     return assignment
 
 
-def structured_witness(f: GPPoly, m: int) -> dict[Variable, RatFunc] | None:
+def structured_witness(f: GPPoly, m: int) -> dict[Variable, MultiPoly] | None:
     """The staggered x/y assignment turning the leading pair/triple
     bracket product of f into a product of single y generators.
 
@@ -177,13 +182,13 @@ def structured_witness(f: GPPoly, m: int) -> dict[Variable, RatFunc] | None:
 
 @dataclass(frozen=True)
 class Witness:
-    assignment: dict[Variable, RatFunc]
-    value: RatFunc
+    assignment: dict[Variable, MultiPoly]
+    value: MultiPoly
     method: str
     attempts: int
 
 
-def _random_polynomial(var_names: tuple[str, ...], rng: random.Random) -> RatFunc:
+def _random_polynomial(var_names: tuple[str, ...], rng: random.Random) -> MultiPoly:
     """Dense random polynomial of total degree <= 2, coefficients in -2..2."""
     nvars = len(var_names)
     terms: dict[tuple[int, ...], Fraction] = {}
@@ -201,7 +206,7 @@ def _random_polynomial(var_names: tuple[str, ...], rng: random.Random) -> RatFun
         c = rng.randint(-2, 2)
         if c:
             terms[e] = Fraction(c)
-    return RatFunc(MultiPoly(var_names, terms))
+    return MultiPoly(var_names, terms)
 
 
 def identity_witness_search(
@@ -213,6 +218,8 @@ def identity_witness_search(
     then seeded random polynomial assignments of degree <= 2; candidates
     are evaluated in a fixed order, so results are reproducible.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if is_polylinear(f):
         plan = _witness_plan(f)
         assignment = _staggered_assignment(plan, realization.n) if plan else None

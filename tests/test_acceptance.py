@@ -126,7 +126,7 @@ def _random_gp(rng, variables, max_terms=3):
     return f
 
 
-def _random_ratfunc(realization, rng):
+def _random_poly(realization, rng):
     names = realization.var_names
     n = len(names)
     terms = {}
@@ -137,10 +137,16 @@ def _random_ratfunc(realization, rng):
         c = rng.randint(-2, 2)
         if c:
             terms[tuple(exp)] = terms.get(tuple(exp), Fraction(0)) + c
-    return RatFunc(MultiPoly(names, {e: c for e, c in terms.items() if c}))
+    return MultiPoly(names, {e: c for e, c in terms.items() if c})
 
 
-def test_c06_leibniz_and_anticommutativity_suites():
+# The realizations evaluate polynomials; the same inputs wrapped in
+# RatFunc run the field-of-fractions reference.
+WRAPPINGS = {"poly": lambda p: p, "ratfunc": RatFunc}
+
+
+@pytest.mark.parametrize("wrapping", WRAPPINGS)
+def test_c06_leibniz_and_anticommutativity_suites(wrapping):
     rng = random.Random(2024)
     variables = xvars(3)
     for _ in range(100):
@@ -150,7 +156,7 @@ def test_c06_leibniz_and_anticommutativity_suites():
     for kind in ("poisson", "gps"):
         realization = Realization(kind, 2)
         for _ in range(100):
-            a, b, c = (_random_ratfunc(realization, rng) for _ in range(3))
+            a, b, c = (WRAPPINGS[wrapping](_random_poly(realization, rng)) for _ in range(3))
             lhs = realized_bracket(a, b * c, realization)
             rhs = (
                 realized_bracket(a, b, realization) * c
@@ -160,16 +166,17 @@ def test_c06_leibniz_and_anticommutativity_suites():
             assert (
                 realized_bracket(a, b, realization) + realized_bracket(b, a, realization)
             ).is_zero()
-    _report("C6 Leibniz and anti-commutativity: 100 exact instances per bracket")
+    _report(f"C6 Leibniz and anti-commutativity: 100 exact instances per bracket ({wrapping})")
 
 
-def test_c07_poisson_realization_soundness():
+@pytest.mark.parametrize("wrapping", WRAPPINGS)
+def test_c07_poisson_realization_soundness(wrapping):
     rng = random.Random(77)
     realization = Realization("poisson", 2)
     j3 = gp(J3_T_TEXT)
     targets = [V("t1"), V("t2"), V("t3")]
     for _ in range(100):
-        a, b, c = (_random_ratfunc(realization, rng) for _ in range(3))
+        a, b, c = (WRAPPINGS[wrapping](_random_poly(realization, rng)) for _ in range(3))
         jac = (
             realized_bracket(realized_bracket(a, b, realization), c, realization)
             + realized_bracket(realized_bracket(b, c, realization), a, realization)
@@ -178,7 +185,7 @@ def test_c07_poisson_realization_soundness():
         assert jac.is_zero()
         assignment = dict(zip(targets, (a, b, c)))
         assert evaluate_gp(j3, assignment, realization).is_zero()
-    _report("C7 poisson realization: Jacobi residual 0 on 100 random triples")
+    _report(f"C7 poisson realization: Jacobi residual 0 on 100 random triples ({wrapping})")
 
 
 def test_c08_gps_genericity_fixture():

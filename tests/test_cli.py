@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,20 @@ class TestErrorPaths:
         assert code == 1 and doc["status"] == "error"
         assert "exceeds the bound" in doc["result"]
 
+    @pytest.mark.parametrize("model, expr", [("poisson", J3_T), ("gps", "{t1,t2}")], ids=["poisson", "gps"])
+    def test_negative_witness_budget_exit_1(self, capsys, model, expr):
+        code, doc = run_json(capsys, "witness", "--model", model, "--m", "2", "--budget", "-5", expr)
+        assert code == 1 and doc["status"] == "error"
+        assert "budget must be non-negative" in doc["result"]
+
+    def test_repeated_assign_target_exit_2(self, capsys):
+        code, doc = run_json(
+            capsys, "realize", "--model", "poisson", "--n", "1",
+            "--assign", "t1=x1", "--assign", "t1=y1", "--assign", "t2=y1", "{t1,t2}",
+        )
+        assert code == 2 and doc["status"] == "error"
+        assert doc["result"] == "repeated assignment to t1"
+
     def test_sizes_at_the_bounds_are_accepted(self, capsys):
         code, doc = run_json(
             capsys, "realize", "--model", "gps", "--n", "12",
@@ -253,3 +268,46 @@ class TestDeterminism:
             ]
             outputs.add(tuple(runs))
         assert len(outputs) == 1
+
+
+class TestPinnedOutputs:
+    """Exact `--json` bytes of realizations and witnesses: the printed
+    results must not depend on the value type evaluation uses."""
+
+    ASSIGN = ("--assign", "t1=x1*y2 + 2*x2", "--assign", "t2=y1*y1 - x2", "--assign", "t3=x1 + y2")
+    REALIZE_EXPR = "{t1,t2}*t3 + {{t1,t3},t2}"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("realize", "--model", "poisson", "--n", "2", *ASSIGN, REALIZE_EXPR),
+         '{"command": "realize", "status": "ok", "result": "2*x1*y1*y2 + 2*y1*y2^2 + x1^2 + x1*y2", "meta": {"seed": null}}'),
+        (("realize", "--model", "gps", "--n", "2", *ASSIGN, REALIZE_EXPR),
+         '{"command": "realize", "status": "ok", "result": "2*x1*y1*y2^2 + 2*y1*y2^3 + x1^2*y1 + x1*y1*y2", "meta": {"seed": null}}'),
+        (("witness", "--model", "gps", "--m", "4", J3_T),
+         '{"command": "witness", "status": "ok", "result": {"found": true, "method": "structured", "attempts": 0, "assignment": {"t1": "x2", "t2": "x1", "t3": "y1"}, "value": "-y3"}, "meta": {"seed": null}}'),
+        (("witness", "--model", "gps", "--m", "2", "--seed", "5", "{t1,{t2,{t3,t4}}}"),
+         '{"command": "witness", "status": "ok", "result": {"found": true, "method": "random", "attempts": 1, "assignment": {"t1": "x1^2 - x1*y1 - 2*x1*x2 - x1*y2 - 2*y1^2 + y1*y2 - x2^2 + x2*y2 + 2*y2^2 + 2*x2 - 2*y2 + 2", "t2": "x1^2 - x1*x2 + x1*y2 - y1^2 - 2*y1*x2 - y1*y2 + 2*x2^2 + 2*x2*y2 + y2^2 + 2*x1 - y1 - 2*x2 - y2 - 2", "t3": "-x1^2 - x1*y1 - x1*x2 - y1*x2 + 2*y1*y2 - x2^2 - x2*y2 - y2^2 - x1 - 2*y1 - 2*x2 - y2 - 1", "t4": "-x1^2 - x1*y1 - 2*x1*y2 + 2*y1*y2 + 2*x2^2 - 2*x2*y2 + 2*y2^2 - 2*y1 + y2 + 1"}, "value": "-8*x1^4*y1 - 9*x1^3*y1^2 - 28*x1^3*y1*x2 + 6*x1^3*y1*y2 + 2*x1^3*x2*y2 + 22*x1^3*y2^2 - 42*x1^2*y1^3 + 61*x1^2*y1^2*x2 + 155*x1^2*y1^2*y2 - 40*x1^2*y1*x2^2 - 111*x1^2*y1*x2*y2 + 147*x1^2*y1*y2^2 - 10*x1^2*x2^2*y2 - 71*x1^2*x2*y2^2 - 57*x1^2*y2^3 - 31*x1*y1^4 + 85*x1*y1^3*x2 + 262*x1*y1^3*y2 + 88*x1*y1^2*x2^2 + 77*x1*y1^2*x2*y2 + 270*x1*y1^2*y2^2 - 4*x1*y1*x2^3 - 98*x1*y1*x2^2*y2 - 84*x1*y1*x2*y2^2 - 302*x1*y1*y2^3 + 8*x1*x2^3*y2 + 94*x1*x2^2*y2^2 + 110*x1*x2*y2^3 + 48*x1*y2^4 - 30*y1^5 - 52*y1^4*x2 + 101*y1^4*y2 + 196*y1^3*x2^2 + 386*y1^3*x2*y2 - 35*y1^3*y2^2 - 196*y1^2*x2^2*y2 - 497*y1^2*x2*y2^2 - 113*y1^2*y2^3 + 16*y1*x2^4 + 132*y1*x2^3*y2 + 448*y1*x2^2*y2^2 + 464*y1*x2*y2^3 + 12*y1*y2^4 - 58*x2^2*y2^3 - 74*x2*y2^4 - 4*y2^5 - 12*x1^3*y1 - 2*x1^3*y2 + 10*x1^2*y1^2 - 42*x1^2*y1*x2 + 186*x1^2*y1*y2 + 10*x1^2*x2*y2 + 27*x1^2*y2^2 - 138*x1*y1^3 + 10*x1*y1^2*x2 + 159*x1*y1^2*y2 - 42*x1*y1*x2^2 - 108*x1*y1*x2*y2 + 82*x1*y1*y2^2 + 8*x1*x2^2*y2 - 89*x1*x2*y2^2 - 188*x1*y2^3 + 196*y1^4 - 276*y1^3*x2 - 175*y1^3*y2 + 84*y1^2*x2^2 + 264*y1^2*x2*y2 + 121*y1^2*y2^2 - 36*y1*x2^3 + 66*y1*x2^2*y2 + 290*y1*x2*y2^2 - 282*y1*y2^3 - 16*x2^3*y2 + 92*x2^2*y2^2 + 171*x2*y2^3 + 94*y2^4 + 16*x1^2*y1 - 8*x1^2*y2 - 8*x1*y1^2 + 10*x1*y1*x2 + 154*x1*y1*y2 + 16*x1*x2*y2 + 32*x1*y2^2 - 54*y1^3 - 98*y1^2*x2 - 465*y1^2*y2 - 8*y1*x2^2 + 96*y1*x2*y2 - 287*y1*y2^2 - 8*x2^2*y2 - 30*x2*y2^2 - 15*y2^3 + 12*x1*y1 - 8*x1*y2 + 34*y1^2 + 36*y1*x2 - 64*y1*y2 + 8*x2*y2 + 4*y2^2 - 8*y1"}, "meta": {"seed": 5}}'),
+    ], ids=["realize-poisson", "realize-gps", "witness-structured", "witness-random"])
+    def test_json_bytes(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and out == expected + "\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+LITERAL_OUTPUT = {"normalize", "bracket", "flip", "height", "realize"}
+
+
+def test_readme_examples(capsys):
+    """Every `freegp` line of README's command block exits 0; where the
+    comment is the literal output, the output matches it."""
+    text = README.read_text()
+    start = text.index("```sh\nfreegp ")
+    block = text[start : text.index("```\n", start + 1)]
+    lines = [line for line in block.splitlines() if line.startswith("freegp ")]
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("  #")
+        argv = shlex.split(command)[1:]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, line
+        if argv[0] in LITERAL_OUTPUT:
+            assert out.strip() == comment.strip(), line

@@ -35,22 +35,23 @@ def _rand_ratfunc(rng):
 
 class TestDerivative:
     def test_square(self):
-        x = RatFunc.variable(VARS, "x1")
+        x = RatFunc(MultiPoly.variable(VARS, "x1"))
         assert (x * x).derivative("x1") == 2 * x
 
     def test_reciprocal(self):
-        y = RatFunc.variable(VARS, "y1")
-        assert (RatFunc.one(VARS) / y).derivative("y1") == -(RatFunc.one(VARS) / (y * y))
+        one = RatFunc(MultiPoly.one(VARS))
+        y = RatFunc(MultiPoly.variable(VARS, "y1"))
+        assert (one / y).derivative("y1") == -(one / (y * y))
 
     def test_quotient_rule(self):
-        x = RatFunc.variable(VARS, "x1")
-        y = RatFunc.variable(VARS, "y1")
+        x = RatFunc(MultiPoly.variable(VARS, "x1"))
+        y = RatFunc(MultiPoly.variable(VARS, "y1"))
         got = ((x * y) / (x + y)).derivative("x1")
         assert got == (y * y) / ((x + y) * (x + y))
 
     def test_unknown_variable(self):
         with pytest.raises(ValueError, match="unknown"):
-            RatFunc.variable(VARS, "x1").derivative("z1")
+            RatFunc(MultiPoly.variable(VARS, "x1")).derivative("z1")
 
     def test_product_rule_random(self):
         rng = random.Random(5)
@@ -62,14 +63,14 @@ class TestDerivative:
 
 class TestEquality:
     def test_cross_multiplied(self):
-        x = RatFunc.variable(VARS, "x1")
+        x = RatFunc(MultiPoly.variable(VARS, "x1"))
         two_x_over_two = RatFunc(
             MultiPoly(VARS, {(1, 0): Fraction(2)}), MultiPoly.constant(VARS, 2)
         )
         assert two_x_over_two == x
 
     def test_zero_detection(self):
-        x = RatFunc.variable(VARS, "x1")
+        x = RatFunc(MultiPoly.variable(VARS, "x1"))
         assert (x - x).is_zero()
         assert not x.is_zero()
 
@@ -107,8 +108,8 @@ class TestNormalization:
         assert repr(r) == "(-1)/(x1)"
 
     def test_printing(self):
-        x = RatFunc.variable(VARS, "x1")
-        y = RatFunc.variable(VARS, "y1")
-        assert repr(x * y + RatFunc.constant(VARS, Fraction(1, 2))) == "x1*y1 + 1/2"
-        assert repr(RatFunc.zero(VARS)) == "0"
+        x = RatFunc(MultiPoly.variable(VARS, "x1"))
+        y = RatFunc(MultiPoly.variable(VARS, "y1"))
+        assert repr(x * y + RatFunc(MultiPoly.constant(VARS, Fraction(1, 2)))) == "x1*y1 + 1/2"
+        assert repr(RatFunc(MultiPoly.zero(VARS))) == "0"
         assert repr((x * x - y) / y) == "(x1^2 - y1)/(y1)"

@@ -19,7 +19,7 @@ from freegp.realize import (
 from helpers import J3_T_TEXT, V, gp
 
 
-def _random_ratfunc(realization, rng, max_deg=2):
+def _random_poly(realization, rng, max_deg=2):
     names = realization.var_names
     n = len(names)
     terms = {}
@@ -30,7 +30,17 @@ def _random_ratfunc(realization, rng, max_deg=2):
         c = rng.randint(-2, 2)
         if c:
             terms[tuple(exp)] = terms.get(tuple(exp), Fraction(0)) + c
-    return RatFunc(MultiPoly(names, {e: c for e, c in terms.items() if c}))
+    return MultiPoly(names, {e: c for e, c in terms.items() if c})
+
+
+def _random_fraction(realization, rng):
+    """A rational function over a nonconstant monomial denominator; the
+    unreduced RatFunc arithmetic keeps such denominators one term long."""
+    names = realization.var_names
+    den = MultiPoly.constant(names, rng.choice([-2, 1, 3]))
+    for _ in range(rng.randint(1, 2)):
+        den = den * MultiPoly.variable(names, rng.choice(names))
+    return RatFunc(_random_poly(realization, rng), den)
 
 
 def _jacobiator_value(a, b, c, realization):
@@ -64,7 +74,7 @@ class TestRealizedBracket:
         for kind in ("poisson", "gps"):
             r = Realization(kind, 2)
             for _ in range(20):
-                a, b, c = (_random_ratfunc(r, rng) for _ in range(3))
+                a, b, c = (_random_poly(r, rng) for _ in range(3))
                 assert (realized_bracket(a, b, r) + realized_bracket(b, a, r)).is_zero()
                 lhs = realized_bracket(a, b * c, r)
                 rhs = realized_bracket(a, b, r) * c + realized_bracket(a, c, r) * b
@@ -74,7 +84,25 @@ class TestRealizedBracket:
         rng = random.Random(29)
         r = Realization("poisson", 2)
         for _ in range(20):
-            a, b, c = (_random_ratfunc(r, rng, max_deg=1) for _ in range(3))
+            a, b, c = (_random_poly(r, rng, max_deg=1) for _ in range(3))
+            assert _jacobiator_value(a, b, c, r).is_zero()
+
+    def test_anti_commutative_and_leibniz_on_fractions(self):
+        rng = random.Random(37)
+        for kind in ("poisson", "gps"):
+            r = Realization(kind, 2)
+            for _ in range(20):
+                a, b, c = (_random_fraction(r, rng) for _ in range(3))
+                assert (realized_bracket(a, b, r) + realized_bracket(b, a, r)).is_zero()
+                lhs = realized_bracket(a, b * c, r)
+                rhs = realized_bracket(a, b, r) * c + realized_bracket(a, c, r) * b
+                assert (lhs - rhs).is_zero()
+
+    def test_poisson_jacobi_on_fractions(self):
+        rng = random.Random(41)
+        r = Realization("poisson", 2)
+        for _ in range(20):
+            a, b, c = (_random_fraction(r, rng) for _ in range(3))
             assert _jacobiator_value(a, b, c, r).is_zero()
 
     def test_gps_jacobiator_fixture(self):
@@ -113,10 +141,31 @@ class TestEvaluateGP:
         f = gp("{t1,t2}")
         g = gp("t1*t2 + t2")
         for _ in range(15):
-            asn = {V("t1"): _random_ratfunc(r, rng), V("t2"): _random_ratfunc(r, rng)}
+            asn = {V("t1"): _random_poly(r, rng), V("t2"): _random_poly(r, rng)}
             ef, eg = evaluate_gp(f, asn, r), evaluate_gp(g, asn, r)
             assert evaluate_gp(f * g, asn, r) == ef * eg
             assert evaluate_gp(f.bracket(g), asn, r) == realized_bracket(ef, eg, r)
+
+
+class TestPolynomialPathAgainstRatFunc:
+    """Polynomial assignments against the same assignments wrapped in
+    RatFunc, the reference: equal values and equal printed forms."""
+
+    TEXTS = (J3_T_TEXT, "{t1,t2}*t3 - 1/2*{{t1,t3},t2}", "2*t1*{t2,{t3,t1}} + {t1,t2}*{t2,t3}")
+
+    @pytest.mark.parametrize("kind", ["poisson", "gps"])
+    def test_evaluate_gp_matches_reference(self, kind):
+        rng = random.Random(43)
+        r = Realization(kind, 2)
+        for text in self.TEXTS:
+            f = gp(text)
+            for _ in range(5):
+                asn = {v: _random_poly(r, rng) for v in sorted(f.variables())}
+                value = evaluate_gp(f, asn, r)
+                reference = evaluate_gp(f, {v: RatFunc(p) for v, p in asn.items()}, r)
+                assert isinstance(value, MultiPoly) and isinstance(reference, RatFunc)
+                assert RatFunc(value) == reference
+                assert repr(value) == repr(reference)
 
 
 class TestStructuredWitness:
@@ -162,10 +211,10 @@ class TestStructuredWitness:
             f = gp(text)
             asn = structured_witness(f, m)
             r = Realization("gps", m)
-            value = evaluate_gp(f, asn, r).normalized()
+            value = evaluate_gp(f, asn, r)
+            assert isinstance(value, MultiPoly)
             assert not value.is_zero()
-            assert value.den == MultiPoly.one(r.var_names)
-            [(exp, _)] = value.num.terms()
+            [(exp, _)] = value.terms()
             xs = [k for name, k in zip(r.var_names, exp) if name.startswith("x") and k]
             assert not xs  # pure y monomial
 
@@ -187,6 +236,13 @@ class TestWitnessSearch:
         w = identity_witness_search(gp(J3_T_TEXT), r, budget=200)
         assert w is not None and w.method == "structured"
         assert not w.value.is_zero()
+
+    def test_negative_budget_rejected(self):
+        r = Realization("gps", 2)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            identity_witness_search(gp("{t1,t2}"), r, budget=-5)
+        assert identity_witness_search(gp("{t1,t2}"), r, budget=0).method == "structured"
+        assert identity_witness_search(gp(J3_T_TEXT), Realization("poisson", 2), budget=0) is None
 
     def test_random_phase_is_deterministic(self):
         f = gp("{t1,{t2,{t3,t4}}}")  # no structured plan applies
