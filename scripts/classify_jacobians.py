@@ -2,11 +2,13 @@
 
 For each arity n this solves the exact linear system over the basis of
 polylinear normal words ((2n-3)!! of them) and reports the dimension and
-a basis.  The expected table is 1, 1, 0, 0: only the plain bracket and
-the bracket jacobiator survive.
+a basis.  The expected table is 1, 1, 0, 0, ...: only the plain bracket
+and the bracket jacobiator survive.  The exit status is 1 when a
+dimension differs from that table.
 """
 
 import argparse
+import sys
 import time
 
 from freegp.identities import jacobian_space
@@ -16,6 +18,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     args = parser.parse_args()
+    status = 0
     for n in range(2, args.max_n + 1):
         start = time.perf_counter()
         basis = jacobian_space(n, max_n=args.max_n)
@@ -23,7 +26,12 @@ def main():
         print(f"n={n}: dimension {len(basis)}  ({elapsed:.2f}s)")
         for element in basis:
             print(f"  {element!r}")
+        expected = 1 if n <= 3 else 0
+        if len(basis) != expected:
+            print(f"  expected dimension {expected}")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

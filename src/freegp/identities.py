@@ -339,8 +339,9 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
         {m for g in spanning for m in g._terms} | set(f._terms),
         key=lambda mono: tuple(w.key for w in mono),
     )
-    rows = [[g._terms.get(m, Fraction(0)) for g in spanning] for m in monomials]
-    rhs = [f._terms.get(m, Fraction(0)) for m in monomials]
+    zero = Fraction(0)
+    rows = [[g._terms.get(m, zero) for g in spanning] for m in monomials]
+    rhs = [f._terms.get(m, zero) for m in monomials]
     coeffs = solve(rows, rhs)
     if coeffs is None:
         return ProductDecomposition(

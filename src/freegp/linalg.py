@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Row reduction with deterministic pivoting (leftmost nonzero column,
-rows in arrival order), incremental rank tracking, nullspace bases and
-linear solves.  Everything works on lists of `Fraction`.
+One sparse row-reduction engine with deterministic pivoting (leftmost
+nonzero column, rows in arrival order), incremental rank tracking,
+nullspace bases and linear solves.  Rows come in dense, as sequences of
+numbers; only their nonzero entries are converted to `Fraction` and
+stored, each basis row a dict from column to nonzero value.  The basis
+is kept in reduced row-echelon form, which is unique for a row space,
+so the rank after each row, the nullspace vectors and the solutions do
+not depend on how the elimination is organized.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ __all__ = ["RowReducer", "nullspace", "solve", "primitive_integer_vector"]
 
 
 class RowReducer:
-    """Maintains a reduced row echelon basis of the row space."""
+    """Maintains the reduced row echelon basis of the row space, each
+    row stored sparse with its leading entry 1."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: dict[int, list[Fraction]] = {}  # pivot column -> row
+        self.pivots: dict[int, dict[int, Fraction]] = {}  # pivot column -> nonzeros
 
     @property
     def rank(self) -> int:
@@ -29,40 +35,61 @@ class RowReducer:
         """Reduce `row` against the basis; returns True if rank grew."""
         if len(row) != self.ncols:
             raise ValueError("row length mismatch")
-        work = [Fraction(x) for x in row]
-        for col in sorted(self.pivots):
-            c = work[col]
-            if c:
-                prow = self.pivots[col]
-                for j in range(col, self.ncols):
-                    if prow[j]:
-                        work[j] -= c * prow[j]
-        lead = next((j for j in range(self.ncols) if work[j]), None)
-        if lead is None:
+        # Dense rows usually repeat one zero object; skipping it by identity
+        # saves a `Fraction.__bool__` call per cell.
+        zero = next((x for x in row if not x), None)
+        work = {
+            j: x if type(x) is Fraction else Fraction(x)
+            for j, x in enumerate(row)
+            if x is not zero and x
+        }
+        pivots = self.pivots
+        # Subtracting a basis row changes no other pivot column (the basis
+        # is reduced), so one pass over the row's pivot entries clears them.
+        for col in [j for j in work if j in pivots]:
+            _subtract(work, work[col], pivots[col])
+        if not work:
             return False
+        lead = min(work)
         inv = work[lead]
-        work = [x / inv for x in work]
-        for col, prow in self.pivots.items():
-            c = prow[lead]
-            if c:
-                for j in range(lead, self.ncols):
-                    if work[j]:
-                        prow[j] -= c * work[j]
-        self.pivots[lead] = work
+        if inv != 1:
+            inv = 1 / inv
+            work = {j: x * inv for j, x in work.items()}
+        for prow in pivots.values():
+            c = prow.get(lead)
+            if c is not None:
+                _subtract(prow, c, work)
+        pivots[lead] = work
         return True
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the kernel, one vector per free column, in column order."""
-        pivot_cols = sorted(self.pivots)
-        free_cols = [j for j in range(self.ncols) if j not in self.pivots]
-        basis = []
-        for f in free_cols:
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
-            for p in pivot_cols:
-                vec[p] = -self.pivots[p][f]
-            basis.append(vec)
-        return basis
+        zero, one = Fraction(0), Fraction(1)
+        basis: dict[int, list[Fraction]] = {}
+        for f in range(self.ncols):
+            if f not in self.pivots:
+                vec = basis[f] = [zero] * self.ncols
+                vec[f] = one
+        # every nonzero off the pivot of a reduced row is in a free column
+        for p, prow in self.pivots.items():
+            for j, c in prow.items():
+                if j != p:
+                    basis[j][p] = -c
+        return list(basis.values())
+
+
+def _subtract(target: dict[int, Fraction], c: Fraction, prow: dict[int, Fraction]) -> None:
+    """target -= c * prow, dropping the entries that cancel."""
+    for j, v in prow.items():
+        x = target.get(j)
+        if x is None:
+            target[j] = -c * v
+        else:
+            x -= c * v
+            if x:
+                target[j] = x
+            else:
+                del target[j]
 
 
 def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -83,12 +110,13 @@ def solve(
     ncols = len(rows[0]) if rows else 0
     red = RowReducer(ncols + 1)
     for row, b in zip(rows, rhs):
-        red.add(list(row) + [Fraction(b)])
+        red.add(list(row) + [b])
     if ncols in red.pivots:
         return None  # a pivot in the augmented column: inconsistent
     sol = [Fraction(0)] * ncols
     for col, prow in red.pivots.items():
-        sol[col] = prow[ncols]
+        if ncols in prow:
+            sol[col] = prow[ncols]
     return sol
 
 

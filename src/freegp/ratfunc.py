@@ -178,6 +178,12 @@ class RatFunc:
             return NotImplemented
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
+    def __rsub__(self, other) -> "RatFunc":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
@@ -196,6 +202,12 @@ class RatFunc:
         if o.is_zero():
             raise ZeroDivisionError("division by the zero function")
         return RatFunc(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other) -> "RatFunc":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:

@@ -1,10 +1,12 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
 from fractions import Fraction
+from typing import Sequence
 
 import hypothesis.strategies as st
 
 from freegp.ac import ACPoly, Variable, Word, normalize_word
+from freegp.assoc import AssocPoly
 from freegp.gp import GPPoly
 from freegp.parsing import parse, to_ac, to_gp
 
@@ -70,6 +72,79 @@ def left_normed(variables) -> Word:
     return out
 
 
+# ---------------------------------------------------------------- linalg oracle
+
+
+class DenseRowReducer:
+    """Test oracle for `freegp.linalg.RowReducer`: the same reduced row
+    echelon basis, every row stored as a dense list of `Fraction`."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots: dict[int, list[Fraction]] = {}  # pivot column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row: Sequence[Fraction]) -> bool:
+        """Reduce `row` against the basis; returns True if rank grew."""
+        if len(row) != self.ncols:
+            raise ValueError("row length mismatch")
+        work = [Fraction(x) for x in row]
+        for col in sorted(self.pivots):
+            c = work[col]
+            if c:
+                prow = self.pivots[col]
+                for j in range(col, self.ncols):
+                    if prow[j]:
+                        work[j] -= c * prow[j]
+        lead = next((j for j in range(self.ncols) if work[j]), None)
+        if lead is None:
+            return False
+        inv = work[lead]
+        work = [x / inv for x in work]
+        for col, prow in self.pivots.items():
+            c = prow[lead]
+            if c:
+                for j in range(lead, self.ncols):
+                    if work[j]:
+                        prow[j] -= c * work[j]
+        self.pivots[lead] = work
+        return True
+
+    def nullspace(self) -> list[list[Fraction]]:
+        """Basis of the kernel, one vector per free column, in column order."""
+        pivot_cols = sorted(self.pivots)
+        free_cols = [j for j in range(self.ncols) if j not in self.pivots]
+        basis = []
+        for f in free_cols:
+            vec = [Fraction(0)] * self.ncols
+            vec[f] = Fraction(1)
+            for p in pivot_cols:
+                vec[p] = -self.pivots[p][f]
+            basis.append(vec)
+        return basis
+
+
+def dense_solve(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """Test oracle for `freegp.linalg.solve`, on `DenseRowReducer`."""
+    if len(rows) != len(rhs):
+        raise ValueError("matrix/vector size mismatch")
+    ncols = len(rows[0]) if rows else 0
+    red = DenseRowReducer(ncols + 1)
+    for row, b in zip(rows, rhs):
+        red.add(list(row) + [Fraction(b)])
+    if ncols in red.pivots:
+        return None  # a pivot in the augmented column: inconsistent
+    sol = [Fraction(0)] * ncols
+    for col, prow in red.pivots.items():
+        sol[col] = prow[ncols]
+    return sol
+
+
 # ---------------------------------------------------------------- strategies
 
 coefficients = st.fractions(
@@ -116,5 +191,18 @@ def gp_polys(variables, max_terms=3, max_factors=2, max_leaves=3):
             coefficients,
         ),
         min_size=0,
+        max_size=max_terms,
+    ).map(assemble)
+
+
+def assoc_polys(letters, max_terms=4, max_length=4):
+    def assemble(pairs):
+        total = AssocPoly.zero()
+        for w, c in pairs:
+            total = total + AssocPoly.word(w, c)
+        return total
+
+    return st.lists(
+        st.tuples(st.lists(st.sampled_from(list(letters)), max_size=max_length), coefficients),
         max_size=max_terms,
     ).map(assemble)

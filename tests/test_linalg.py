@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from freegp.linalg import RowReducer, nullspace, primitive_integer_vector, solve
+
+from helpers import DenseRowReducer, dense_solve
 
 
 def test_rank_and_nullspace_small():
@@ -64,3 +67,75 @@ def test_random_consistency(seed):
     assert sol is not None
     for row, b in zip(rows, rhs):
         assert sum(a * s for a, s in zip(row, sol)) == b
+
+
+# ------------------------------------------------- sparse engine against the dense oracle
+
+_VALUES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3)]
+# zeros dominate, as in the kernel's systems; integers come as plain `int` too
+entries = st.sampled_from(
+    [0, 0, 0, Fraction(0), Fraction(0)]
+    + [s * v for v in _VALUES for s in (1, -1)]
+    + [1, -1, 2, -2]
+)
+
+
+@st.composite
+def matrices(draw):
+    """(ncols, rows): up to 10 rows of at most 8 columns, with planted zero
+    rows and exact duplicates among them."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        if rows and draw(st.booleans()):
+            rows.insert(at, list(rows[draw(st.integers(0, len(rows) - 1))]))
+        else:
+            rows.insert(at, [Fraction(0)] * ncols)
+    return ncols, rows[:10]
+
+
+def _dense_pivots(red: DenseRowReducer) -> dict[int, dict[int, Fraction]]:
+    return {p: {j: v for j, v in enumerate(row) if v} for p, row in red.pivots.items()}
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=300)
+    @given(matrices())
+    def test_add_pivots_and_nullspace(self, matrix):
+        ncols, rows = matrix
+        sparse, dense = RowReducer(ncols), DenseRowReducer(ncols)
+        for row in rows:
+            assert sparse.add(row) == dense.add(row)
+            assert sparse.pivots == _dense_pivots(dense)
+            for prow in sparse.pivots.values():
+                assert all(type(v) is Fraction and v for v in prow.values())
+        assert sparse.nullspace() == dense.nullspace()
+
+    @settings(max_examples=300)
+    @given(matrices(), st.data())
+    def test_solve(self, matrix, data):
+        ncols, rows = matrix
+        rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        expected = dense_solve(rows, rhs)
+        got = solve(rows, rhs)
+        assert got == expected
+        if got is not None:
+            assert all(type(x) is Fraction for x in got)
+
+    @settings(max_examples=100)
+    @given(matrices(), st.data())
+    def test_solve_planted(self, matrix, data):
+        ncols, rows = matrix
+        planted = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = [sum(a * b for a, b in zip(row, planted)) for row in rows]
+        sol = solve(rows, rhs)
+        assert sol == dense_solve(rows, rhs)
+        assert sol is not None
+
+    def test_wrong_length_row(self):
+        for red in (RowReducer(3), DenseRowReducer(3)):
+            with pytest.raises(ValueError):
+                red.add([Fraction(1), Fraction(0)])
+        with pytest.raises(ValueError):
+            solve([[1, 2], [1]], [0, 0])

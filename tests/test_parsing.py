@@ -14,12 +14,16 @@ from freegp.parsing import (
     Term,
     VarFactor,
     parse,
+    to_ac,
     to_assoc,
     to_gp,
     to_poly,
 )
 
-from helpers import gp, gp_polys, xvars
+from helpers import V, ac_polys, assoc_polys, gp, gp_polys, xvars
+
+# two letter classes and a two-digit index
+MIXED = xvars(3) + [V("t3"), V("y12")]
 
 
 class TestGrammar:
@@ -84,9 +88,19 @@ class TestErrors:
 
 class TestRoundTrip:
     @settings(max_examples=80)
-    @given(gp_polys(xvars(3)))
+    @given(gp_polys(MIXED))
     def test_parse_of_print(self, f):
         assert to_gp(parse(repr(f))) == f
+
+    @settings(max_examples=80)
+    @given(ac_polys(MIXED, max_terms=4, max_leaves=5))
+    def test_ac_parse_of_print(self, a):
+        assert to_ac(parse(repr(a))) == a
+
+    @settings(max_examples=80)
+    @given(assoc_polys([v.name for v in MIXED]))
+    def test_assoc_parse_of_print(self, p):
+        assert to_assoc(parse(repr(p))) == p
 
     def test_idempotent_printing(self):
         for text in ("{x2,x1}", "3/6*x1*x1", "{x1,{x2,x3}} - {x1,x2} + 2", "0"):

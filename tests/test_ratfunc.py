@@ -94,6 +94,46 @@ class TestEquality:
             RatFunc(MultiPoly.one(VARS), MultiPoly.zero(VARS))
 
 
+class TestMixedOperands:
+    """Every operator takes an int, a Fraction or a MultiPoly on either side."""
+
+    OTHERS = (2, Fraction(-1, 2), MultiPoly.variable(VARS, "x1"))
+
+    def test_reflected_subtraction(self):
+        rng = random.Random(19)
+        for _ in range(10):
+            r = _rand_ratfunc(rng)
+            for other in self.OTHERS:
+                got = other - r
+                assert isinstance(got, RatFunc)
+                assert got == RatFunc(MultiPoly.constant(VARS, 0)) + other - r
+                assert got == -(r - other)
+
+    def test_reflected_division(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            r = _rand_ratfunc(rng)
+            if r.is_zero():
+                continue
+            for other in self.OTHERS:
+                got = other / r
+                assert isinstance(got, RatFunc)
+                assert got * r == other
+                assert got == RatFunc(MultiPoly.one(VARS)) * other / r
+
+    def test_reflected_division_by_zero(self):
+        zero = RatFunc(MultiPoly.zero(VARS))
+        for other in self.OTHERS:
+            with pytest.raises(ZeroDivisionError):
+                other / zero
+
+    def test_other_types_rejected(self):
+        r = RatFunc(MultiPoly.variable(VARS, "y1"))
+        for op in (lambda: "a" - r, lambda: "a" / r, lambda: 1.5 - r):
+            with pytest.raises(TypeError):
+                op()
+
+
 class TestNormalization:
     def test_constant_denominator_folds(self):
         two = MultiPoly.constant(VARS, 2)
