@@ -21,7 +21,7 @@ def main():
     status = 0
     for n in range(2, args.max_n + 1):
         start = time.perf_counter()
-        basis = jacobian_space(n, max_n=args.max_n)
+        basis = jacobian_space(n)
         elapsed = time.perf_counter() - start
         print(f"n={n}: dimension {len(basis)}  ({elapsed:.2f}s)")
         for element in basis:

@@ -18,6 +18,7 @@ from .identities import (
     is_jacobian,
     jacobian_reduce_trace,
     jacobian_space,
+    linearize,
     strip_bare_factors,
 )
 from .parsing import ParseError, gp_to_ac, parse, to_assoc, to_gp, to_poly
@@ -28,6 +29,8 @@ from .realize import Realization, evaluate_gp, identity_witness_search
 # random witness polynomial has O(m^2) terms over 2m variables.
 MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
+# `jacobian-space --n`: the basis has (2n-3)!! words; n=6 takes seconds.
+MAX_JACOBIAN_N = 6
 
 # Options that take a value; `main` skips those values when it names the
 # subcommand of a command line it cannot parse.
@@ -140,6 +143,8 @@ def _cmd_jacobian(args):
 
 
 def _cmd_jacobian_space(args):
+    if args.n > MAX_JACOBIAN_N:
+        raise ValueError(f"n={args.n} exceeds the configured bound {MAX_JACOBIAN_N}")
     basis = jacobian_space(args.n)
     payload = {"dimension": len(basis), "basis": [repr(b) for b in basis]}
     human = [f"dimension: {len(basis)}"] + [repr(b) for b in basis]
@@ -155,8 +160,6 @@ def _cmd_reduce(args):
 
 
 def _cmd_linearize(args):
-    from .identities import linearize
-
     return repr(linearize(to_gp(parse(args.expr)))), None
 
 

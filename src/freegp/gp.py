@@ -5,6 +5,10 @@ a multiset of normal anti-commutative words (the empty multiset is the
 unit).  The product is the commutative polynomial product; the bracket
 is extended from words by bilinearity and the Leibniz rule, so the
 Jacobi identity is a property to test, never an assumption.
+
+A map out of the free algebra is fixed by the images of the generators,
+the target's bracket and its constants; one fold, `_homomorphism`,
+evaluates both `substitute` and `realize.evaluate_gp`.
 """
 
 from __future__ import annotations
@@ -156,32 +160,43 @@ def fine_components(f: GPPoly) -> list[tuple[Weight, GPPoly]]:
     ]
 
 
+def _homomorphism(f: GPPoly, image, bracket, constant):
+    """Sum over the monomials of `f` of `constant(c)` times the images of
+    the factors; a word maps once to `image(var)` at a leaf and to
+    `bracket` of the images of its two sides at a node."""
+    cache: dict[Word, object] = {}
+
+    def image_of(w: Word):
+        got = cache.get(w)
+        if got is not None:
+            return got
+        if w.is_leaf:
+            res = image(w.var)
+        else:
+            res = bracket(image_of(w.left), image_of(w.right))
+        cache[w] = res
+        return res
+
+    total = constant(0)
+    for m, c in f._terms.items():
+        g = constant(c)
+        for w in m:
+            g = g * image_of(w)
+        total = total + g
+    return total
+
+
 def substitute(f: GPPoly, images: Mapping[Variable, GPPoly]) -> GPPoly:
     """The homomorphism sending each mapped generator to its image.
 
     Unmapped generators stay fixed; brackets of images are expanded by
     the Leibniz rule.
     """
-    cache: dict[Word, GPPoly] = {}
 
-    def image_of(w: Word) -> GPPoly:
-        got = cache.get(w)
-        if got is not None:
-            return got
-        if w.is_leaf:
-            res = images[w.var] if w.var in images else GPPoly.generator(w.var)
-        else:
-            res = image_of(w.left).bracket(image_of(w.right))
-        cache[w] = res
-        return res
+    def image(v: Variable) -> GPPoly:
+        return images[v] if v in images else GPPoly.generator(v)
 
-    total = GPPoly.zero()
-    for m, c in f._terms.items():
-        g = GPPoly.constant(c)
-        for w in m:
-            g = g * image_of(w)
-        total = total + g
-    return total
+    return _homomorphism(f, image, GPPoly.bracket, GPPoly.constant)
 
 
 def variable_degrees(m: Monomial) -> Counter:

@@ -109,7 +109,7 @@ def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
     return acc
 
 
-def jacobian_space(n: int, max_n: int = 6) -> list[ACPoly]:
+def jacobian_space(n: int) -> list[ACPoly]:
     """Basis of the polylinear elements on x1..xn that are Jacobian.
 
     Solves the exact linear system "derivation difference vanishes for
@@ -118,8 +118,6 @@ def jacobian_space(n: int, max_n: int = 6) -> list[ACPoly]:
     """
     if n < 2:
         raise ValueError("need at least two variables")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the configured bound {max_n}")
     xs = [Variable("x", i) for i in range(1, n + 1)]
     y, z = Variable("x", n + 1), Variable("x", n + 2)
     words = enumerate_polylinear_basis(xs)
@@ -264,7 +262,7 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
         if failing is None:
             return g, steps
         before = farkas_height(g).total
-        fresh = Variable(failing.base, max(v.index for v in g.variables()) + 1)
+        fresh = _fresh_variables(g, failing, 1)[0]
         g = derivation_difference(g, failing, failing, fresh)
         if g.is_zero():
             raise ArithmeticError(

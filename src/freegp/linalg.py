@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["RowReducer", "nullspace", "solve", "primitive_integer_vector"]
+__all__ = ["RowReducer", "solve", "primitive_integer_vector"]
 
 
 class RowReducer:
@@ -90,15 +90,6 @@ def _subtract(target: dict[int, Fraction], c: Fraction, prow: dict[int, Fraction
                 target[j] = x
             else:
                 del target[j]
-
-
-def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    red = RowReducer(ncols)
-    for row in rows:
-        red.add(row)
-        if red.rank == ncols:
-            break
-    return red.nullspace()
 
 
 def solve(

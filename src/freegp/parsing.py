@@ -10,6 +10,10 @@ Multiplication is always written '*'; juxtaposition is a syntax error
 (variable names carry their own digits).  Whitespace is insignificant.
 A bare rational is a valid term and a leading sign is allowed, so every
 canonical form the kernel prints parses back to the same element.
+
+One fold, `_evaluate`, reads a parse tree into the free generic Poisson
+algebra (`to_gp`), the free associative algebra (`to_assoc`) or the
+polynomial ring (`to_poly`).
 """
 
 from __future__ import annotations
@@ -233,23 +237,33 @@ def parse(text: str) -> Expr:
     return expr
 
 
-def to_gp(expr: Expr) -> GPPoly:
-    """Evaluate in the free generic Poisson algebra (canonicalizing)."""
-    total = GPPoly.zero()
+def _evaluate(expr: Expr, constant, variable, bracket):
+    """Sum over the terms of `constant(coefficient)` times the factors: a
+    variable maps to `variable(name)`, a group to the fold of its inside,
+    and a bracket to `bracket(left, right)` of its *unevaluated* sides, so
+    a target without brackets rejects one before looking inside it."""
+    total = constant(0)
     for term in expr.terms:
-        g = GPPoly.constant(term.coefficient)
+        g = constant(term.coefficient)
         for factor in term.factors:
-            g = g * _factor_gp(factor)
+            if isinstance(factor, VarFactor):
+                g = g * variable(factor.name)
+            elif isinstance(factor, BracketFactor):
+                g = g * bracket(factor.left, factor.right)
+            else:
+                g = g * _evaluate(factor.inner, constant, variable, bracket)
         total = total + g
     return total
 
 
-def _factor_gp(factor) -> GPPoly:
-    if isinstance(factor, VarFactor):
-        return GPPoly.generator(Variable.parse(factor.name))
-    if isinstance(factor, BracketFactor):
-        return to_gp(factor.left).bracket(to_gp(factor.right))
-    return to_gp(factor.inner)
+def to_gp(expr: Expr) -> GPPoly:
+    """Evaluate in the free generic Poisson algebra (canonicalizing)."""
+    return _evaluate(
+        expr,
+        GPPoly.constant,
+        lambda name: GPPoly.generator(Variable.parse(name)),
+        lambda left, right: to_gp(left).bracket(to_gp(right)),
+    )
 
 
 def gp_to_ac(g: GPPoly) -> ACPoly:
@@ -271,40 +285,24 @@ def to_ac(expr: Expr) -> ACPoly:
 def to_assoc(expr: Expr) -> AssocPoly:
     """Evaluate in the free associative algebra on the variable names;
     '*' concatenates and braces are commutators."""
-    total = AssocPoly.zero()
-    for term in expr.terms:
-        g = term.coefficient * AssocPoly.one()
-        for factor in term.factors:
-            g = g * _factor_assoc(factor)
-        total = total + g
-    return total
-
-
-def _factor_assoc(factor) -> AssocPoly:
-    if isinstance(factor, VarFactor):
-        return AssocPoly.letter(factor.name)
-    if isinstance(factor, BracketFactor):
-        return commutator(to_assoc(factor.left), to_assoc(factor.right))
-    return to_assoc(factor.inner)
+    return _evaluate(
+        expr,
+        lambda c: c * AssocPoly.one(),
+        AssocPoly.letter,
+        lambda left, right: commutator(to_assoc(left), to_assoc(right)),
+    )
 
 
 def to_poly(expr: Expr, var_names: tuple[str, ...]) -> MultiPoly:
     """Evaluate as a commutative polynomial over the given variables;
     brackets are rejected."""
-    total = MultiPoly.zero(var_names)
-    for term in expr.terms:
-        g = MultiPoly.constant(var_names, term.coefficient)
-        for factor in term.factors:
-            g = g * _factor_poly(factor, var_names)
-        total = total + g
-    return total
 
+    def variable(name: str) -> MultiPoly:
+        if name not in var_names:
+            raise ValueError(f"unknown realization variable {name!r}")
+        return MultiPoly.variable(var_names, name)
 
-def _factor_poly(factor, var_names: tuple[str, ...]) -> MultiPoly:
-    if isinstance(factor, VarFactor):
-        if factor.name not in var_names:
-            raise ValueError(f"unknown realization variable {factor.name!r}")
-        return MultiPoly.variable(var_names, factor.name)
-    if isinstance(factor, BracketFactor):
+    def bracket(left, right):
         raise ValueError("brackets are not allowed in realization assignments")
-    return to_poly(factor.inner, var_names)
+
+    return _evaluate(expr, lambda c: MultiPoly.constant(var_names, c), variable, bracket)

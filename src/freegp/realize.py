@@ -12,7 +12,8 @@ the y variables, certifying non-identities.
 Both derivations and the product keep polynomials, so evaluation is in
 the polynomial ring: `MultiPoly` in, `MultiPoly` out.  Rational-function
 inputs (`freegp.ratfunc.RatFunc`) are accepted as well and give a
-`RatFunc` back, through its reflected operators.
+`RatFunc` back, through its reflected operators.  `evaluate_gp` is the
+GP homomorphism fold of `freegp.gp` with the realized bracket.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .ac import Variable, Word
-from .gp import GPPoly, is_polylinear
+from .ac import Variable
+from .gp import GPPoly, _homomorphism, is_polylinear
 from .ratfunc import MultiPoly
 
 __all__ = [
@@ -95,26 +96,11 @@ def evaluate_gp(
     missing = sorted(f.variables() - set(assignment))
     if missing:
         raise ValueError(f"assignment does not cover {missing[0]}")
-    cache: dict[Word, MultiPoly] = {}
 
-    def eval_word(w: Word) -> MultiPoly:
-        got = cache.get(w)
-        if got is not None:
-            return got
-        if w.is_leaf:
-            res = assignment[w.var]
-        else:
-            res = realized_bracket(eval_word(w.left), eval_word(w.right), realization)
-        cache[w] = res
-        return res
+    def bracket(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        return realized_bracket(a, b, realization)
 
-    total = MultiPoly.zero(realization.var_names)
-    for m, c in f._terms.items():
-        g = realization.constant(c)
-        for w in m:
-            g = g * eval_word(w)
-        total = total + g
-    return total
+    return _homomorphism(f, assignment.__getitem__, bracket, realization.constant)
 
 
 def _witness_plan(f: GPPoly):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from freegp.cli import MAX_BUDGET, MAX_SIZE, _VALUE_OPTIONS, build_parser, main
+from freegp.cli import MAX_BUDGET, MAX_JACOBIAN_N, MAX_SIZE, _VALUE_OPTIONS, build_parser, main
 from freegp.parsing import MAX_DEPTH
 
 J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
@@ -212,6 +212,12 @@ class TestErrorPaths:
         code, doc = run_json(capsys, *argv)
         assert code == 1 and doc["status"] == "error"
         assert "exceeds the bound" in doc["result"]
+
+    def test_jacobian_space_past_the_bound_exit_1(self, capsys):
+        assert MAX_JACOBIAN_N == 6
+        code, doc = run_json(capsys, "jacobian-space", "--n", "7")
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == "n=7 exceeds the configured bound 6"
 
     @pytest.mark.parametrize("model, expr", [("poisson", J3_T), ("gps", "{t1,t2}")], ids=["poisson", "gps"])
     def test_negative_witness_budget_exit_1(self, capsys, model, expr):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from freegp.linalg import RowReducer, nullspace, primitive_integer_vector, solve
+from freegp.linalg import RowReducer, primitive_integer_vector, solve
 
 from helpers import DenseRowReducer, dense_solve
 
@@ -28,7 +28,7 @@ def test_rank_and_nullspace_small():
 
 
 def test_nullspace_of_zero_map():
-    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert RowReducer(2).nullspace() == [[1, 0], [0, 1]]
 
 
 def test_solve_consistent():
@@ -57,7 +57,10 @@ def test_random_consistency(seed):
         [Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)
     ]
     # nullspace vectors annihilate every row
-    for vec in nullspace(rows, ncols):
+    red = RowReducer(ncols)
+    for row in rows:
+        red.add(row)
+    for vec in red.nullspace():
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
     # a planted solution is always recovered consistently

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from freegp.assoc import AssocPoly, commutator
 from freegp.gp import GPPoly
+from freegp.realize import Realization, evaluate_gp
 from freegp.parsing import (
     BracketFactor,
     ParseError,
@@ -24,6 +25,7 @@ from helpers import V, ac_polys, assoc_polys, gp, gp_polys, xvars
 
 # two letter classes and a two-digit index
 MIXED = xvars(3) + [V("t3"), V("y12")]
+REALIZATION_VARS = [V("x1"), V("y1"), V("x2"), V("y2")]
 
 
 class TestGrammar:
@@ -158,3 +160,18 @@ class TestPolyEvaluation:
     def test_brackets_rejected(self):
         with pytest.raises(ValueError, match="brackets"):
             to_poly(parse("{x1,y1}"), ("x1", "y1"))
+
+    def test_bracket_rejected_before_its_variables_are_checked(self):
+        with pytest.raises(ValueError, match="brackets are not allowed"):
+            to_poly(parse("{z1,x1}"), ("x1", "y1"))
+
+    @settings(max_examples=80)
+    @given(*[gp_polys(REALIZATION_VARS, max_factors=3, max_leaves=1)] * 3)
+    def test_agrees_with_the_gp_fold(self, f, g, h):
+        """Bracket-free text read as a polynomial equals its GP element
+        evaluated at the identity assignment."""
+        r = Realization("poisson", 2)
+        text = f"({f!r})*({g!r}) - ({h!r})"
+        identity = {V(name): r.variable(name) for name in r.var_names}
+        expected = evaluate_gp(to_gp(parse(text)), identity, r)
+        assert to_poly(parse(text), r.var_names) == expected

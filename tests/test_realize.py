@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from freegp.ac import Variable
-from freegp.gp import GPPoly
+from freegp.gp import GPPoly, substitute
 from freegp.ratfunc import MultiPoly, RatFunc
 from freegp.realize import (
     Realization,
@@ -16,7 +18,9 @@ from freegp.realize import (
     structured_witness,
 )
 
-from helpers import J3_T_TEXT, V, gp
+from helpers import J3_T_TEXT, V, gp, gp_polys
+
+TS = [V("t1"), V("t2"), V("t3")]
 
 
 def _random_poly(realization, rng, max_deg=2):
@@ -145,6 +149,33 @@ class TestEvaluateGP:
             ef, eg = evaluate_gp(f, asn, r), evaluate_gp(g, asn, r)
             assert evaluate_gp(f * g, asn, r) == ef * eg
             assert evaluate_gp(f.bracket(g), asn, r) == realized_bracket(ef, eg, r)
+
+
+class TestCompositionLaw:
+    """Substitution then realization is realization of the realized
+    images: both go through one homomorphism fold.  A zero image must
+    count as mapped, and an unmapped generator stays fixed."""
+
+    @pytest.mark.parametrize("kind", ["poisson", "gps"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        f=gp_polys(TS[:2]),
+        images=st.dictionaries(
+            st.sampled_from(TS[:2]),
+            st.just(GPPoly.zero()) | gp_polys(TS, max_terms=2, max_leaves=2),
+            max_size=2,
+        ),
+        seed=st.integers(0, 10**6),
+    )
+    def test_substitute_then_evaluate(self, kind, f, images, seed):
+        rng = random.Random(seed)
+        r = Realization(kind, 2)
+        asn = {v: _random_poly(r, rng) for v in TS}
+        composed = {
+            v: evaluate_gp(images[v], asn, r) if v in images else asn[v]
+            for v in f.variables()
+        }
+        assert evaluate_gp(substitute(f, images), asn, r) == evaluate_gp(f, composed, r)
 
 
 class TestPolynomialPathAgainstRatFunc:
