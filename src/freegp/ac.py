@@ -6,9 +6,13 @@ and every word rewrites to a signed *normal* word or to zero; normal
 words (each node carries its smaller child on the left) form a linear
 basis.  "Smaller" is the one word order, `Word.key`: degree first, then
 the left subword, then the right subword, with generator order at the
-leaves.  Everything here is exact and immutable: coefficients are
-`fractions.Fraction`, rewriting is deterministic, and no operation
-mutates its arguments.
+leaves.  Everything here is exact and immutable: rewriting is
+deterministic, no operation mutates its arguments, and coefficients are
+integer-first: an integral coefficient built by a constructor is a plain
+`int`, and only a non-integral one is a `fractions.Fraction`.  Mixed
+`int`/`Fraction` arithmetic is exact and the two types agree on `==`
+and `hash`, so term dicts compare and hash as if all were `Fraction`;
+a division always goes through `Fraction`, never `int / int`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,16 @@ __all__ = [
 ]
 
 _VAR_RE = re.compile(r"([A-Za-z])([0-9]+)\Z")
+
+Coefficient = int | Fraction  # an exact coefficient; integral ones are ints
+
+
+def _coefficient(c) -> Coefficient:
+    """`c` as an exact coefficient: an `int` when integral, else a `Fraction`."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 @dataclass(frozen=True, order=True)
@@ -159,7 +173,7 @@ def bracket_normal(u: Word, v: Word):
     return None  # keys are equal only for equal words
 
 
-def _accumulate(acc: dict, key, delta: Fraction) -> None:
+def _accumulate(acc: dict, key, delta: Coefficient) -> None:
     c = acc.get(key)
     if c is None:
         if delta:
@@ -174,10 +188,11 @@ def _accumulate(acc: dict, key, delta: Fraction) -> None:
 
 class Linear:
     """Exact sparse linear combination: a dict from keys to nonzero
-    `Fraction` coefficients.
+    integer-first coefficients (`int` when integral, else `Fraction`).
 
     The keys are assumed canonical and the coefficients nonzero; each
-    subclass builds them through its own constructors and products.
+    subclass builds them through its own constructors and products, and
+    the constructors store an integral coefficient as an `int`.
     Subclasses add the key product, the term order of `terms()` and the
     rendering of one key (`_key_str`).
     """
@@ -187,8 +202,9 @@ class Linear:
     def __init__(self, terms: Mapping | None = None):
         self._terms = dict(terms) if terms else {}
 
-    def _new(self, terms: dict) -> "Linear":
-        """An element of the same type (and variables) owning `terms`."""
+    def _new(self, terms: dict, other: "Linear | None" = None) -> "Linear":
+        """An element of the same type (and variables) owning `terms`;
+        `other` is the second addend when `terms` is a sum."""
         out = object.__new__(type(self))
         out._terms = terms
         return out
@@ -214,7 +230,7 @@ class Linear:
         acc = dict(self._terms)
         for k, c in o._terms.items():
             _accumulate(acc, k, c)
-        return self._new(acc)
+        return self._new(acc, o)
 
     def __sub__(self, other):
         o = self._operand(other)
@@ -223,13 +239,13 @@ class Linear:
         acc = dict(self._terms)
         for k, c in o._terms.items():
             _accumulate(acc, k, -c)
-        return self._new(acc)
+        return self._new(acc, o)
 
     def __neg__(self):
         return self._new({k: -c for k, c in self._terms.items()})
 
     def _scaled(self, scalar):
-        s = Fraction(scalar)
+        s = _coefficient(scalar)
         if not s:
             return self._new({})
         return self._new({k: c * s for k, c in self._terms.items()})
@@ -260,16 +276,16 @@ class ACPoly(Linear):
 
     @staticmethod
     def generator(v: Variable) -> "ACPoly":
-        return ACPoly({Word.leaf(v): Fraction(1)})
+        return ACPoly({Word.leaf(v): 1})
 
-    def terms(self) -> list[tuple[Word, Fraction]]:
+    def terms(self) -> list[tuple[Word, Coefficient]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].key)
 
     def _key_str(self, w: Word) -> str:
         return repr(w)
 
-    def coefficient(self, w: Word) -> Fraction:
-        return self._terms.get(w, Fraction(0))
+    def coefficient(self, w: Word) -> Coefficient:
+        return self._terms.get(w, 0)
 
     def words(self) -> frozenset[Word]:
         return frozenset(self._terms)
@@ -287,7 +303,7 @@ def normalize_word(w: Word) -> ACPoly:
     if nf is None:
         return ACPoly.zero()
     s, u = nf
-    return ACPoly({u: Fraction(s)})
+    return ACPoly({u: s})
 
 
 def is_normal(w: Word) -> bool:
@@ -297,7 +313,7 @@ def is_normal(w: Word) -> bool:
 
 def ac_bracket(f: ACPoly, g: ACPoly) -> ACPoly:
     """Bilinear extension of the bracket, renormalized."""
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Coefficient] = {}
     for u, a in f._terms.items():
         for v, b in g._terms.items():
             bw = bracket_normal(u, v)
@@ -375,7 +391,7 @@ def flip(f: ACPoly, x: Variable) -> ACPoly:
 
     Every word of `f` must be linear in `x`.
     """
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Coefficient] = {}
     for word, c in f._terms.items():
         op = i_normal_form(word, x)
         k = len(op.factors)
@@ -462,7 +478,7 @@ def enumerate_polylinear_basis(variables: Sequence[Variable]) -> list[Word]:
     return build(frozenset(vs))
 
 
-def format_linear(items: Iterable[tuple[str, Fraction]]) -> str:
+def format_linear(items: Iterable[tuple[str, Coefficient]]) -> str:
     """Render (monomial string, coefficient) pairs; '' denotes the unit."""
     parts: list[str] = []
     for mono, c in items:

@@ -10,10 +10,9 @@ the exterior algebra of the letter space.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ac import Linear, _accumulate
+from .ac import Coefficient, Linear, _accumulate, _coefficient
 
 __all__ = [
     "AssocPoly",
@@ -67,18 +66,18 @@ class AssocPoly(Linear):
 
     @staticmethod
     def one() -> "AssocPoly":
-        return AssocPoly({(): Fraction(1)})
+        return AssocPoly({(): 1})
 
     @staticmethod
     def letter(l) -> "AssocPoly":
-        return AssocPoly({(l,): Fraction(1)})
+        return AssocPoly({(l,): 1})
 
     @staticmethod
     def word(letters: Iterable, coefficient=1) -> "AssocPoly":
-        c = Fraction(coefficient)
+        c = _coefficient(coefficient)
         return AssocPoly({tuple(letters): c} if c else {})
 
-    def terms(self) -> list[tuple[tuple, Fraction]]:
+    def terms(self) -> list[tuple[tuple, Coefficient]]:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def _key_str(self, w: tuple) -> str:
@@ -89,7 +88,7 @@ class AssocPoly(Linear):
 
     def __mul__(self, other) -> "AssocPoly":
         if isinstance(other, AssocPoly):
-            acc: dict[tuple, Fraction] = {}
+            acc: dict[tuple, Coefficient] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
                     _accumulate(acc, w1 + w2, c1 * c2)
@@ -108,16 +107,16 @@ def alternating_sum(m: int, letters: Sequence) -> AssocPoly:
         raise ValueError(f"m={m} does not match {len(letters)} letters")
     if len(set(letters)) != m:
         raise ValueError("duplicate letters")
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, Coefficient] = {}
     for perm in itertools.permutations(range(m)):
         word = tuple(letters[i] for i in perm)
-        acc[word] = Fraction(permutation_sign(perm))
+        acc[word] = permutation_sign(perm)
     return AssocPoly(acc)
 
 
-def _coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Fraction]:
+def _coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Coefficient]:
     """Coproduct with every letter primitive, extended multiplicatively."""
-    acc: dict[tuple[tuple, tuple], Fraction] = {}
+    acc: dict[tuple[tuple, tuple], Coefficient] = {}
     for word, c in L._terms.items():
         k = len(word)
         for mask in range(1 << k):
@@ -129,7 +128,7 @@ def _coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Fraction]:
 
 def is_lie_element(L: AssocPoly) -> bool:
     """Primitivity test: the coproduct of L equals L(x)1 + 1(x)L."""
-    target: dict[tuple[tuple, tuple], Fraction] = {}
+    target: dict[tuple[tuple, tuple], Coefficient] = {}
     for word, c in L._terms.items():
         _accumulate(target, (word, ()), c)
         _accumulate(target, ((), word), c)
@@ -141,22 +140,22 @@ class ExteriorElem(Linear):
 
     __slots__ = ()
 
-    def terms(self) -> list[tuple[tuple, Fraction]]:
+    def terms(self) -> list[tuple[tuple, Coefficient]]:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def _key_str(self, w: tuple) -> str:
         return "^".join(str(l) for l in w)
 
-    def coefficient(self, letters: tuple) -> Fraction:
+    def coefficient(self, letters: tuple) -> Coefficient:
         sg = _sort_sign(tuple(letters))
         if sg is None:
-            return Fraction(0)
+            return 0
         s, key = sg
-        return s * self._terms.get(key, Fraction(0))
+        return s * self._terms.get(key, 0)
 
     def __mul__(self, other) -> "ExteriorElem":
         if isinstance(other, ExteriorElem):
-            acc: dict[tuple, Fraction] = {}
+            acc: dict[tuple, Coefficient] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
                     sg = _sort_sign(w1 + w2)
@@ -170,7 +169,7 @@ class ExteriorElem(Linear):
 
 def exterior_image(L: AssocPoly) -> ExteriorElem:
     """Image under the algebra map fixing letters; repeated letters die."""
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, Coefficient] = {}
     for word, c in L._terms.items():
         sg = _sort_sign(word)
         if sg is None:

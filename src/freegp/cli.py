@@ -21,7 +21,17 @@ from .identities import (
     linearize,
     strip_bare_factors,
 )
-from .parsing import ParseError, gp_to_ac, parse, to_assoc, to_gp, to_poly
+from .parsing import (
+    BracketFactor,
+    Expr,
+    ParseError,
+    VarFactor,
+    gp_to_ac,
+    parse,
+    to_assoc,
+    to_gp,
+    to_poly,
+)
 from .assoc import is_lie_element
 from .realize import Realization, evaluate_gp, identity_witness_search
 
@@ -31,6 +41,10 @@ MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
 # `jacobian-space --n`: the basis has (2n-3)!! words; n=6 takes seconds.
 MAX_JACOBIAN_N = 6
+# `lie-test` word length: the test splits each word of length d in 2^d
+# ways, and a bracket of d letters expands to 2^(d-1) words, so degree 9
+# takes about 0.6 s and each further letter about four times as long.
+MAX_LIE_DEGREE = 9
 
 # Options that take a value; `main` skips those values when it names the
 # subcommand of a command line it cannot parse.
@@ -182,8 +196,26 @@ def _cmd_farkas_height(args):
     return payload, human
 
 
+def _degree(expr: Expr) -> int:
+    """Length of the longest word in the associative expansion of `expr`."""
+    top = 0
+    for term in expr.terms:
+        d = 0
+        for factor in term.factors:
+            if isinstance(factor, VarFactor):
+                d += 1
+            elif isinstance(factor, BracketFactor):
+                d += _degree(factor.left) + _degree(factor.right)
+            else:
+                d += _degree(factor.inner)
+        top = max(top, d)
+    return top
+
+
 def _cmd_lie_test(args):
-    return {"lie": is_lie_element(to_assoc(parse(args.expr)))}, None
+    expr = parse(args.expr)
+    _check_bound("degree", _degree(expr), MAX_LIE_DEGREE)
+    return {"lie": is_lie_element(to_assoc(expr))}, None
 
 
 def _parse_assignments(pairs, realization):

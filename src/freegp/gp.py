@@ -18,7 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .ac import ACPoly, Linear, Variable, Word, _accumulate, _word_key, bracket_normal
+from .ac import (
+    ACPoly,
+    Coefficient,
+    Linear,
+    Variable,
+    Word,
+    _accumulate,
+    _coefficient,
+    _word_key,
+    bracket_normal,
+)
 
 __all__ = [
     "Monomial",
@@ -48,16 +58,16 @@ class GPPoly(Linear):
 
     @staticmethod
     def one() -> "GPPoly":
-        return GPPoly({(): Fraction(1)})
+        return GPPoly({(): 1})
 
     @staticmethod
     def constant(c) -> "GPPoly":
-        c = Fraction(c)
+        c = _coefficient(c)
         return GPPoly({(): c} if c else {})
 
     @staticmethod
     def generator(v: Variable) -> "GPPoly":
-        return GPPoly({(Word.leaf(v),): Fraction(1)})
+        return GPPoly({(Word.leaf(v),): 1})
 
     @staticmethod
     def from_ac(f: ACPoly) -> "GPPoly":
@@ -66,17 +76,17 @@ class GPPoly(Linear):
     @staticmethod
     def from_factors(words, coefficient=1) -> "GPPoly":
         """Monomial on already-normal words."""
-        c = Fraction(coefficient)
+        c = _coefficient(coefficient)
         return GPPoly({_sorted_factors(words): c} if c else {})
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
+    def terms(self) -> list[tuple[Monomial, Coefficient]]:
         return sorted(self._terms.items(), key=lambda kv: _monomial_key(kv[0]))
 
     def _key_str(self, m: Monomial) -> str:
         return "*".join(repr(w) for w in m)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(_sorted_factors(m), Fraction(0))
+    def coefficient(self, m: Monomial) -> Coefficient:
+        return self._terms.get(_sorted_factors(m), 0)
 
     def monomials(self) -> frozenset[Monomial]:
         return frozenset(self._terms)
@@ -93,7 +103,7 @@ class GPPoly(Linear):
 
     def __mul__(self, other) -> "GPPoly":
         if isinstance(other, GPPoly):
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, Coefficient] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     _accumulate(acc, _sorted_factors(m1 + m2), c1 * c2)
@@ -108,7 +118,7 @@ class GPPoly(Linear):
         """Leibniz expansion to pairwise word brackets, recanonicalized."""
         if not isinstance(other, GPPoly):
             raise TypeError("bracket expects a GPPoly")
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Coefficient] = {}
         for m1, c1 in self._terms.items():
             for i, u in enumerate(m1):
                 rest1 = m1[:i] + m1[i + 1 :]
@@ -152,7 +162,7 @@ class Weight:
 
 def fine_components(f: GPPoly) -> list[tuple[Weight, GPPoly]]:
     """Partition of the monomials of `f` by weight; the parts sum to `f`."""
-    buckets: dict[Weight, dict[Monomial, Fraction]] = {}
+    buckets: dict[Weight, dict[Monomial, Coefficient]] = {}
     for m, c in f._terms.items():
         buckets.setdefault(Weight.of(m), {})[m] = c
     return [

@@ -15,10 +15,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ac import ACPoly, Variable, Word, ac_bracket, enumerate_polylinear_basis, i_normal_form
+from .ac import (
+    ACPoly,
+    Coefficient,
+    Variable,
+    Word,
+    ac_bracket,
+    enumerate_polylinear_basis,
+    i_normal_form,
+)
 from .assoc import AssocPoly
 from .gp import (
     GPPoly,
@@ -123,13 +130,13 @@ def jacobian_space(n: int) -> list[ACPoly]:
     words = enumerate_polylinear_basis(xs)
     reducer = RowReducer(len(words))
     for xi in xs:
-        rows: dict[Monomial, list[Fraction]] = {}
+        rows: dict[Monomial, list[Coefficient]] = {}
         for j, w in enumerate(words):
             diff = derivation_difference(GPPoly.from_factors((w,)), xi, y, z)
             for m, c in diff._terms.items():
                 row = rows.get(m)
                 if row is None:
-                    row = rows[m] = [Fraction(0)] * len(words)
+                    row = rows[m] = [0] * len(words)
                 row[j] = c
         for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono)):
             reducer.add(rows[m])
@@ -138,7 +145,7 @@ def jacobian_space(n: int) -> list[ACPoly]:
     basis = []
     for vec in reducer.nullspace():
         vec = primitive_integer_vector(vec)
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Coefficient] = {}
         for j, c in enumerate(vec):
             if c:
                 acc[words[j]] = c
@@ -176,7 +183,7 @@ def linearize(f: GPPoly) -> GPPoly:
         for c in copies:
             image = image + GPPoly.generator(c)
         expanded = substitute(result, {v: image})
-        kept: dict[Monomial, Fraction] = {}
+        kept: dict[Monomial, Coefficient] = {}
         for m, c in expanded._terms.items():
             counts = variable_degrees(m)
             if all(counts[cp] == 1 for cp in copies):
@@ -303,7 +310,7 @@ def _block_element(block: tuple[Variable, ...]) -> ACPoly:
 @dataclass(frozen=True)
 class ProductDecomposition:
     ok: bool
-    terms: tuple[tuple[Fraction, GPPoly], ...]
+    terms: tuple[tuple[Coefficient, GPPoly], ...]
     blocks: tuple[tuple[tuple[Variable, ...], ...], ...]
     reason: str | None = None
 
@@ -337,9 +344,8 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
         {m for g in spanning for m in g._terms} | set(f._terms),
         key=lambda mono: tuple(w.key for w in mono),
     )
-    zero = Fraction(0)
-    rows = [[g._terms.get(m, zero) for g in spanning] for m in monomials]
-    rhs = [f._terms.get(m, zero) for m in monomials]
+    rows = [[g._terms.get(m, 0) for g in spanning] for m in monomials]
+    rhs = [f._terms.get(m, 0) for m in monomials]
     coeffs = solve(rows, rhs)
     if coeffs is None:
         return ProductDecomposition(

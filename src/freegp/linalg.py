@@ -3,11 +3,12 @@
 One sparse row-reduction engine with deterministic pivoting (leftmost
 nonzero column, rows in arrival order), incremental rank tracking,
 nullspace bases and linear solves.  Rows come in dense, as sequences of
-numbers; only their nonzero entries are converted to `Fraction` and
-stored, each basis row a dict from column to nonzero value.  The basis
-is kept in reduced row-echelon form, which is unique for a row space,
-so the rank after each row, the nullspace vectors and the solutions do
-not depend on how the elimination is organized.
+exact numbers (`int` or `Fraction`); only their nonzero entries are
+converted to `Fraction` and stored, each basis row a dict from column
+to nonzero value.  The basis is kept in reduced row-echelon form, which
+is unique for a row space, so the rank after each row, the nullspace
+vectors and the solutions do not depend on how the elimination is
+organized.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+from .ac import Coefficient
 
 __all__ = ["RowReducer", "solve", "primitive_integer_vector"]
 
@@ -31,12 +34,12 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: Sequence[Coefficient]) -> bool:
         """Reduce `row` against the basis; returns True if rank grew."""
         if len(row) != self.ncols:
             raise ValueError("row length mismatch")
         # Dense rows usually repeat one zero object; skipping it by identity
-        # saves a `Fraction.__bool__` call per cell.
+        # saves a `__bool__` call per cell.
         zero = next((x for x in row if not x), None)
         work = {
             j: x if type(x) is Fraction else Fraction(x)
@@ -93,7 +96,7 @@ def _subtract(target: dict[int, Fraction], c: Fraction, prow: dict[int, Fraction
 
 
 def solve(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Coefficient]], rhs: Sequence[Coefficient]
 ) -> list[Fraction] | None:
     """One exact solution of A x = b (free coordinates zero), or None."""
     if len(rows) != len(rhs):
@@ -111,15 +114,15 @@ def solve(
     return sol
 
 
-def primitive_integer_vector(vec: Sequence[Fraction]) -> list[Fraction]:
+def primitive_integer_vector(vec: Sequence[Coefficient]) -> list[int]:
     """Scale to coprime integers with the first nonzero entry positive."""
     nonzero = [x for x in vec if x]
     if not nonzero:
-        return [Fraction(0)] * len(vec)
+        return [0] * len(vec)
     mult = lcm(*(x.denominator for x in nonzero))
-    ints = [x * mult for x in vec]
-    div = gcd(*(int(x) for x in ints if x))
-    out = [x / div for x in ints]
+    ints = [int(x * mult) for x in vec]
+    div = gcd(*ints)
+    out = [x // div for x in ints]
     first = next(x for x in out if x)
     if first < 0:
         out = [-x for x in out]

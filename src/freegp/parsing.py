@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ac import ACPoly, Variable, Word
+from .ac import ACPoly, Coefficient, Variable, Word, _coefficient
 from .assoc import AssocPoly, commutator
 from .gp import GPPoly
 from .ratfunc import MultiPoly
@@ -134,7 +134,7 @@ class GroupFactor:
 
 @dataclass(frozen=True)
 class Term:
-    coefficient: Fraction
+    coefficient: Coefficient
     factors: tuple
 
 
@@ -169,17 +169,17 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         terms = []
-        sign = Fraction(1)
+        sign = 1
         if self.peek().kind in ("+", "-"):
             if self.advance().kind == "-":
-                sign = Fraction(-1)
+                sign = -1
         terms.append(self.parse_term(sign))
         while self.peek().kind in ("+", "-"):
-            sign = Fraction(1) if self.advance().kind == "+" else Fraction(-1)
+            sign = 1 if self.advance().kind == "+" else -1
             terms.append(self.parse_term(sign))
         return Expr(tuple(terms))
 
-    def parse_term(self, sign: Fraction) -> Term:
+    def parse_term(self, sign: int) -> Term:
         coeff = sign
         factors = []
         tok = self.peek()
@@ -194,7 +194,7 @@ class _Parser:
             factors.append(self.parse_factor())
         return Term(coeff, tuple(factors))
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> Coefficient:
         num = int(self.expect("NUM").text)
         if self.peek().kind == "/":
             self.advance()
@@ -202,8 +202,8 @@ class _Parser:
             if den == 0:
                 tok = self.tokens[self.pos - 1]
                 raise ParseError("zero denominator", tok.line, tok.column)
-            return Fraction(num, den)
-        return Fraction(num)
+            return _coefficient(Fraction(num, den))
+        return num
 
     def parse_factor(self):
         tok = self.peek()
@@ -268,7 +268,7 @@ def to_gp(expr: Expr) -> GPPoly:
 
 def gp_to_ac(g: GPPoly) -> ACPoly:
     """Reinterpret a sum of single bracket words as an AC element."""
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Coefficient] = {}
     for m, c in g._terms.items():
         if len(m) != 1:
             raise ValueError(

@@ -1,12 +1,23 @@
 """Sparse exact multivariate polynomials and rational functions.
 
-Polynomials map exponent vectors over a declared variable tuple to
-rational coefficients.  Rational functions keep numerator and
-denominator unreduced; equality and zero tests go through numerator
-cross-multiplication, so no multivariate gcd is ever needed.  An
-optional content normalization bounds growth and fixes signs for
-printing.  Realizations compute in `MultiPoly`; a `RatFunc` operand
-takes over any mixed product or sum through its reflected operators.
+A polynomial maps monomials over a declared variable tuple to nonzero
+integer-first coefficients (`int` when integral, else `Fraction`).
+Each monomial is packed into one `int`: the exponent of every variable
+sits in its own 16-bit field, variable 0 in the most significant one,
+and the total degree sits in an unbounded field above them all.  A
+monomial product is then one integer addition, a derivative reads one
+field with a shift and a mask, and integer order is the deg-lex order
+of `terms()`.  No field may carry into its neighbour: every polynomial
+keeps a bound on its largest exponent, and a product whose bound would
+pass `MAX_EXPONENT` raises `ValueError` before any term is formed.
+The constructor takes exponent tuples and `terms()` gives them back.
+
+Rational functions keep numerator and denominator unreduced; equality
+and zero tests go through numerator cross-multiplication, so no
+multivariate gcd is ever needed.  An optional content normalization
+bounds growth and fixes signs for printing.  Realizations compute in
+`MultiPoly`; a `RatFunc` operand takes over any mixed product or sum
+through its reflected operators.
 """
 
 from __future__ import annotations
@@ -15,35 +26,68 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .ac import Linear, _accumulate
+from .ac import Coefficient, Linear, _coefficient
 
 __all__ = ["MultiPoly", "RatFunc"]
 
+_BITS = 16  # width of one exponent field
+_MASK = (1 << _BITS) - 1
+MAX_EXPONENT = _MASK  # largest exponent of one variable
+
 
 class MultiPoly(Linear):
-    """Polynomial over a fixed tuple of variable names."""
+    """Polynomial over a fixed tuple of variable names, on packed monomials."""
 
-    __slots__ = ("vars",)
+    __slots__ = ("vars", "_bound")  # _bound: no exponent of any term exceeds it
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Coefficient] | None = None):
         self.vars = tuple(vars)
-        self._terms = dict(terms) if terms else {}
+        n = len(self.vars)
+        self._terms = {}
+        self._bound = 0
+        for e, c in (terms or {}).items():
+            if len(e) != n:
+                raise ValueError(f"exponent vector {e!r} does not match {n} variables")
+            key = sum(e)  # the degree field
+            for k in e:
+                if not 0 <= k <= MAX_EXPONENT:
+                    raise ValueError(f"exponent {k} outside 0..{MAX_EXPONENT}")
+                key = key << _BITS | k
+            self._terms[key] = _coefficient(c)
+            self._bound = max((self._bound, *e))
 
-    def _new(self, terms: dict) -> "MultiPoly":
+    def _new(self, terms: dict, other: "MultiPoly | None" = None) -> "MultiPoly":
         out = object.__new__(MultiPoly)
         out.vars = self.vars
         out._terms = terms
+        if not terms:
+            out._bound = 0
+        elif other is None or other._bound < self._bound:
+            out._bound = self._bound
+        else:
+            out._bound = other._bound
         return out
+
+    def _unit(self, i: int) -> int:
+        """The packed monomial of variable i."""
+        n = len(self.vars)
+        return 1 << _BITS * n | 1 << _BITS * (n - 1 - i)
+
+    def _exponents(self, key: int) -> tuple[int, ...]:
+        n = len(self.vars)
+        return tuple(key >> _BITS * (n - 1 - i) & _MASK for i in range(n))
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "MultiPoly":
-        return cls(tuple(vars))
+        return cls(vars)
 
     @classmethod
     def constant(cls, vars: Sequence[str], c) -> "MultiPoly":
-        c = Fraction(c)
-        zero_exp = (0,) * len(vars)
-        return cls(tuple(vars), {zero_exp: c} if c else {})
+        out = cls(vars)
+        c = _coefficient(c)
+        if c:
+            out._terms[0] = c
+        return out
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "MultiPoly":
@@ -51,14 +95,16 @@ class MultiPoly(Linear):
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "MultiPoly":
-        vars = tuple(vars)
-        if name not in vars:
+        out = cls(vars)
+        if name not in out.vars:
             raise ValueError(f"unknown variable {name!r}")
-        exp = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {exp: Fraction(1)})
+        out._terms[out._unit(out.vars.index(name))] = 1
+        out._bound = 1
+        return out
 
-    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    def terms(self) -> list[tuple[tuple[int, ...], Coefficient]]:
+        """(exponent tuple, coefficient) pairs, deg-lex greatest first."""
+        return [(self._exponents(k), self._terms[k]) for k in sorted(self._terms, reverse=True)]
 
     def _check(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
@@ -78,11 +124,28 @@ class MultiPoly(Linear):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                _accumulate(acc, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return self._new(acc)
+        bound = self._bound + other._bound
+        if bound > MAX_EXPONENT:
+            raise ValueError(f"a product exponent could exceed {MAX_EXPONENT}")
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # one-term factor: shift every key, scale every coefficient
+            [(e2, c2)] = b.items()
+            terms = {e1 + e2: c1 * c2 for e1, c1 in a.items()}
+        else:
+            acc: dict[int, Coefficient] = {}
+            get = acc.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    k = e1 + e2
+                    acc[k] = get(k, 0) + c1 * c2
+            terms = {k: c for k, c in acc.items() if c}
+        out = self._new(terms)
+        if terms:
+            out._bound = bound
+        return out
 
     __rmul__ = __mul__
 
@@ -98,17 +161,18 @@ class MultiPoly(Linear):
         if name not in self.vars:
             raise ValueError(f"unknown variable {name!r}")
         i = self.vars.index(name)
-        # distinct exponents stay distinct, so no two terms meet
+        shift = _BITS * (len(self.vars) - 1 - i)
+        unit = self._unit(i)
+        # distinct monomials stay distinct, so no two terms meet
         return self._new(
-            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self._terms.items() if e[i]}
+            {k - unit: c * e for k, c in self._terms.items() if (e := k >> shift & _MASK)}
         )
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Coefficient:
         """Coefficient of the deg-lex greatest monomial (0 for the zero poly)."""
         if not self._terms:
-            return Fraction(0)
-        e = max(self._terms, key=lambda exp: (sum(exp), exp))
-        return self._terms[e]
+            return 0
+        return self._terms[max(self._terms)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -234,9 +298,8 @@ class RatFunc:
         positive deg-lex leading denominator coefficient; a constant
         denominator is folded into the numerator."""
         den_terms = self.den._terms
-        if len(den_terms) == 1 and not any(next(iter(den_terms))):
-            c = next(iter(den_terms.values()))
-            return RatFunc(self.num * (1 / c))
+        if len(den_terms) == 1 and 0 in den_terms:  # a constant denominator
+            return RatFunc(self.num * (1 / Fraction(den_terms[0])))
         coeffs = list(self.num._terms.values()) + list(den_terms.values())
         mult = lcm(*(c.denominator for c in coeffs))
         div = gcd(*(int(c * mult) for c in coeffs))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .ac import Variable
@@ -52,7 +52,7 @@ class Realization:
         if self.n < 1:
             raise ValueError("realization size must be positive")
 
-    @property
+    @cached_property
     def var_names(self) -> tuple[str, ...]:
         out = []
         for i in range(1, self.n + 1):
@@ -177,7 +177,7 @@ class Witness:
 def _random_polynomial(var_names: tuple[str, ...], rng: random.Random) -> MultiPoly:
     """Dense random polynomial of total degree <= 2, coefficients in -2..2."""
     nvars = len(var_names)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     exponents = [(0,) * nvars]
     for i in range(nvars):
         e = [0] * nvars
@@ -191,7 +191,7 @@ def _random_polynomial(var_names: tuple[str, ...], rng: random.Random) -> MultiP
     for e in exponents:
         c = rng.randint(-2, 2)
         if c:
-            terms[e] = Fraction(c)
+            terms[e] = c
     return MultiPoly(var_names, terms)
 
 

@@ -1,11 +1,11 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import hypothesis.strategies as st
 
-from freegp.ac import ACPoly, Variable, Word, normalize_word
+from freegp.ac import ACPoly, Linear, Variable, Word, _accumulate, normalize_word
 from freegp.assoc import AssocPoly
 from freegp.gp import GPPoly
 from freegp.parsing import parse, to_ac, to_gp
@@ -143,6 +143,122 @@ def dense_solve(
     for col, prow in red.pivots.items():
         sol[col] = prow[ncols]
     return sol
+
+
+# ---------------------------------------------------------------- polynomial oracle
+
+
+class TupleMultiPoly(Linear):
+    """Test oracle for `freegp.ratfunc.MultiPoly`: the tuple-keyed
+    polynomial it replaced, with exponent vectors stored as tuples and
+    `Fraction` constants.  Kept verbatim apart from its name and `_new`
+    accepting (and ignoring) the other addend of a sum."""
+
+    __slots__ = ("vars",)
+
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None):
+        self.vars = tuple(vars)
+        self._terms = dict(terms) if terms else {}
+
+    def _new(self, terms: dict, other=None) -> "TupleMultiPoly":
+        out = object.__new__(TupleMultiPoly)
+        out.vars = self.vars
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls, vars: Sequence[str]) -> "TupleMultiPoly":
+        return cls(tuple(vars))
+
+    @classmethod
+    def constant(cls, vars: Sequence[str], c) -> "TupleMultiPoly":
+        c = Fraction(c)
+        zero_exp = (0,) * len(vars)
+        return cls(tuple(vars), {zero_exp: c} if c else {})
+
+    @classmethod
+    def one(cls, vars: Sequence[str]) -> "TupleMultiPoly":
+        return cls.constant(vars, 1)
+
+    @classmethod
+    def variable(cls, vars: Sequence[str], name: str) -> "TupleMultiPoly":
+        vars = tuple(vars)
+        if name not in vars:
+            raise ValueError(f"unknown variable {name!r}")
+        exp = tuple(1 if v == name else 0 for v in vars)
+        return cls(vars, {exp: Fraction(1)})
+
+    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def _check(self, other: "TupleMultiPoly") -> None:
+        if self.vars != other.vars:
+            raise ValueError("polynomials over different variable tuples")
+
+    def _operand(self, other) -> "TupleMultiPoly | None":
+        if isinstance(other, (int, Fraction)):
+            return TupleMultiPoly.constant(self.vars, other)
+        if not isinstance(other, TupleMultiPoly):
+            return None
+        self._check(other)
+        return other
+
+    def __mul__(self, other) -> "TupleMultiPoly":
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if not isinstance(other, TupleMultiPoly):
+            return NotImplemented
+        self._check(other)
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                _accumulate(acc, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return self._new(acc)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "TupleMultiPoly":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = TupleMultiPoly.one(self.vars)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def derivative(self, name: str) -> "TupleMultiPoly":
+        if name not in self.vars:
+            raise ValueError(f"unknown variable {name!r}")
+        i = self.vars.index(name)
+        # distinct exponents stay distinct, so no two terms meet
+        return self._new(
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self._terms.items() if e[i]}
+        )
+
+    def leading_coefficient(self) -> Fraction:
+        """Coefficient of the deg-lex greatest monomial (0 for the zero poly)."""
+        if not self._terms:
+            return Fraction(0)
+        e = max(self._terms, key=lambda exp: (sum(exp), exp))
+        return self._terms[e]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TupleMultiPoly)
+            and self.vars == other.vars
+            and self._terms == other._terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vars, frozenset(self._terms.items())))
+
+    def _key_str(self, e: tuple[int, ...]) -> str:
+        pieces = []
+        for name, k in zip(self.vars, e):
+            if k == 1:
+                pieces.append(name)
+            elif k > 1:
+                pieces.append(f"{name}^{k}")
+        return "*".join(pieces)
 
 
 # ---------------------------------------------------------------- strategies

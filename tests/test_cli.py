@@ -6,11 +6,20 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from freegp.cli import MAX_BUDGET, MAX_JACOBIAN_N, MAX_SIZE, _VALUE_OPTIONS, build_parser, main
+from freegp.cli import (
+    MAX_BUDGET,
+    MAX_JACOBIAN_N,
+    MAX_LIE_DEGREE,
+    MAX_SIZE,
+    _VALUE_OPTIONS,
+    build_parser,
+    main,
+)
 from freegp.parsing import MAX_DEPTH
 
 J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
@@ -129,6 +138,76 @@ class TestJsonSchema:
         after = run(capsys, *argv, *flags)
         assert before == after
         assert json.loads(before[1])["meta"] == {"seed": 3}
+
+
+class TestConsecutiveCalls:
+    """No parse state leaks from one `main` call into the next."""
+
+    def test_json_given_then_absent(self, capsys):
+        _, doc = run_json(capsys, "normalize", "{x2,x1}")
+        assert doc["result"] == "-{x1,x2}"
+        code, out, _ = run(capsys, "normalize", "{x2,x1}")
+        assert code == 0 and out == "-{x1,x2}\n"
+
+    def test_seed_given_then_absent(self, capsys):
+        _, doc = run_json(capsys, "--seed", "5", "normalize", "x1")
+        assert doc["meta"] == {"seed": 5}
+        _, doc = run_json(capsys, "normalize", "x1")
+        assert doc["meta"] == {"seed": None}
+
+    def test_usage_error_then_valid_command(self, capsys):
+        code, doc = run_json(capsys, "--seed", "7", "normalize")
+        assert code == 2 and doc["status"] == "error"
+        code, out, err = run(capsys, "bracket", "x1", "x2")
+        assert (code, out, err) == (0, "{x1,x2}\n", "")
+
+    def test_human_then_json(self, capsys):
+        argv = ("height", "--var", "x2", "{x1,x2}")
+        assert run(capsys, *argv) == (0, "1\n", "")
+        _, doc = run_json(capsys, *argv)
+        assert doc["result"] == {"height": 1}
+        assert run(capsys, *argv) == (0, "1\n", "")
+
+    def test_assignments_do_not_accumulate(self, capsys):
+        argv = ("realize", "--model", "poisson", "--n", "1", "--assign", "t1=x1", "--assign", "t2=y1", "{t1,t2}")
+        assert run_json(capsys, *argv) == run_json(capsys, *argv) == (0, {
+            "command": "realize", "status": "ok", "result": "1", "meta": {"seed": None},
+        })
+
+
+class TestLieDegreeBound:
+    @staticmethod
+    def bracket(d: int) -> str:
+        """{u1,{u2,...{u_{d-1},u_d}...}}: 2^(d-1) words of d letters."""
+        e = f"u{d}"
+        for i in range(d - 1, 0, -1):
+            e = f"{{u{i},{e}}}"
+        return e
+
+    def test_worst_input_at_the_bound_finishes(self, capsys):
+        assert MAX_LIE_DEGREE == 9
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "lie-test", self.bracket(MAX_LIE_DEGREE))
+        assert code == 0 and doc["result"] == {"lie": True}
+        assert time.perf_counter() - start < 10  # about 0.6 s on a 2-vCPU VM
+
+    @pytest.mark.parametrize("expr", [
+        bracket.__func__(MAX_LIE_DEGREE + 1),
+        "u1*u2*u3*u4*u5*u6*u7*u8*u9*u10 - u1",
+        "{u1*u2*u3*u4*u5, (u6*u7 + 1)*u8*u9*u10}",
+        "{" * 200 + "u1" + ",u2}" * 200,
+    ], ids=["bracket", "product", "bracket-of-products", "nested-200"])
+    def test_past_the_bound_exit_1_at_once(self, capsys, expr):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "lie-test", expr)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"].startswith("degree=") and doc["result"].endswith("exceeds the bound 9")
+
+    def test_degree_counts_the_longest_term(self, capsys):
+        at_bound = "u1*u2*u3*u4*u5*u6*u7*u8*u9 + 3 + u1"
+        assert run_json(capsys, "lie-test", at_bound)[0] == 0
+        assert run_json(capsys, "lie-test", "(" + at_bound + ")*u1")[0] == 1
 
 
 class TestErrorPaths:

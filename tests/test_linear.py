@@ -1,12 +1,14 @@
 """The sparse linear-combination core shared by all five element types."""
 
+from fractions import Fraction
+
 import pytest
 
 from freegp.ac import ACPoly
 from freegp.assoc import exterior_image
 from freegp.gp import GPPoly
 from freegp.parsing import parse, to_assoc, to_poly
-from freegp.ratfunc import MultiPoly
+from freegp.ratfunc import MultiPoly, RatFunc
 
 from helpers import acp, gp
 
@@ -35,6 +37,43 @@ def test_linear_core(kind):
 
     # another type compares unequal without deferring to its __eq__
     assert x.__eq__(object()) is False
+
+
+def _exact(x) -> bool:
+    """Every stored coefficient is a nonzero int or Fraction (never a float)."""
+    return all(type(c) in (int, Fraction) and c for c in x._terms.values())
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_coefficients_stay_exact(kind):
+    x = BUILDERS[kind]()
+    scaled = [x * Fraction(3, 2), Fraction(-2, 3) * x, x * 4, 2 * x, x * Fraction(4, 2)]
+    for y in [x, -x, x + x, x - 3 * x] + scaled:
+        assert _exact(y)
+    # parsed p/q coefficients: the integral ones are stored as ints
+    assert all(type(c) is int for c in x._terms.values() if c.denominator == 1)
+    assert x * Fraction(3, 2) * Fraction(2, 3) == x
+
+
+def test_parsed_coefficients_are_integer_first():
+    [a, b, c] = parse("6/3*x1 - 2/4*x2 + 5").terms
+    assert (type(a.coefficient), a.coefficient) == (int, 2)
+    assert (type(b.coefficient), b.coefficient) == (Fraction, Fraction(-1, 2))
+    assert (type(c.coefficient), c.coefficient) == (int, 5)
+
+
+def test_ratfunc_normalization_stays_exact():
+    vars = ("x1", "y1")
+    x, y = MultiPoly.variable(vars, "x1"), MultiPoly.variable(vars, "y1")
+    for c in (3, -2, 1, Fraction(3, 7)):
+        n = RatFunc(x + 1, MultiPoly.constant(vars, c)).normalized()
+        assert n.den == MultiPoly.one(vars) and _exact(n.num)
+        assert n.num * c == x + 1
+    assert repr(RatFunc(x, MultiPoly.constant(vars, 3))) == "1/3*x1"
+    assert repr(RatFunc(x * Fraction(1, 2), MultiPoly.constant(vars, -3))) == "-1/6*x1"
+    n = RatFunc(x * Fraction(2, 3) + 1, y * Fraction(-4, 9)).normalized()
+    assert _exact(n.num) and _exact(n.den)
+    assert repr(n) == "(-6*x1 - 9)/(4*y1)"
 
 
 def test_zeros_of_different_types_differ():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from freegp.assoc import AssocPoly, commutator
 from freegp.gp import GPPoly
+from freegp.ratfunc import MultiPoly
 from freegp.realize import Realization, evaluate_gp
 from freegp.parsing import (
     BracketFactor,
@@ -147,11 +148,13 @@ class TestAssocEvaluation:
 class TestPolyEvaluation:
     def test_polynomial(self):
         p = to_poly(parse("2*x1*x1 + y1 - 1"), ("x1", "y1"))
-        assert p._terms == {
+        expected = {
             (2, 0): Fraction(2),
             (0, 1): Fraction(1),
             (0, 0): Fraction(-1),
         }
+        assert p == MultiPoly(("x1", "y1"), expected)
+        assert dict(p.terms()) == expected
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError, match="unknown realization variable"):
