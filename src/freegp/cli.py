@@ -45,6 +45,16 @@ MAX_JACOBIAN_N = 6
 # ways, and a bracket of d letters expands to 2^(d-1) words, so degree 9
 # takes about 0.6 s and each further letter about four times as long.
 MAX_LIE_DEGREE = 9
+# `lie-test` words in the expansion before cancellation, the count of the
+# degree-9 bracket; a product of sums multiplies their sizes.
+MAX_LIE_WORDS = 256
+# Variables of `reduce` (after stripping bare factors) and `jacobian`.  The
+# input must be polylinear, so this is its leaf count, and a word of h + 1
+# letters has a derivation difference of 2^h terms.  The slowest shapes
+# (left- or right-normed words) take about 0.5 s to reduce at 7 variables
+# and 4 s at 8; the Jacobian test takes about 0.7 s at 16 and 1.7 s at 17.
+MAX_REDUCE_VARIABLES = 7
+MAX_JACOBIAN_VARIABLES = 16
 
 # Options that take a value; `main` skips those values when it names the
 # subcommand of a command line it cannot parse.
@@ -153,7 +163,9 @@ def _cmd_mul(args):
 
 
 def _cmd_jacobian(args):
-    return {"jacobian": is_jacobian(to_gp(parse(args.expr)))}, None
+    f = to_gp(parse(args.expr))
+    _check_bound("variables", len(f.variables()), MAX_JACOBIAN_VARIABLES)
+    return {"jacobian": is_jacobian(f)}, None
 
 
 def _cmd_jacobian_space(args):
@@ -167,6 +179,7 @@ def _cmd_jacobian_space(args):
 
 def _cmd_reduce(args):
     f = strip_bare_factors(to_gp(parse(args.expr)))
+    _check_bound("variables", len(f.variables()), MAX_REDUCE_VARIABLES)
     reduced, steps = jacobian_reduce_trace(f)
     payload = {"reduced": repr(reduced), "steps": len(steps)}
     human = [repr(reduced), f"steps: {len(steps)}"]
@@ -212,9 +225,25 @@ def _degree(expr: Expr) -> int:
     return top
 
 
+def _expansion_size(expr: Expr) -> int:
+    """Words in the associative expansion of `expr` before cancellation:
+    a sum adds, a product multiplies and {A,B} = A*B - B*A doubles."""
+    total = 0
+    for term in expr.terms:
+        n = 1
+        for factor in term.factors:
+            if isinstance(factor, BracketFactor):
+                n *= 2 * _expansion_size(factor.left) * _expansion_size(factor.right)
+            elif not isinstance(factor, VarFactor):
+                n *= _expansion_size(factor.inner)
+        total += n
+    return total
+
+
 def _cmd_lie_test(args):
     expr = parse(args.expr)
     _check_bound("degree", _degree(expr), MAX_LIE_DEGREE)
+    _check_bound("words", _expansion_size(expr), MAX_LIE_WORDS)
     return {"lie": is_lie_element(to_assoc(expr))}, None
 
 

@@ -9,6 +9,13 @@ three, and nothing in higher arity.  The module also provides the
 supporting machinery: multiplication operators, linearization by
 polarization, bracket-factor heights, the height-reducing derivation
 difference, and decomposition into products of the two basic shapes.
+
+The derivation difference never substitutes into the whole element.
+Only the factor holding x changes, and as a signed operator chain
+s*{a1,{a2,...{ah,x}...}} it sends y*z to a sum over the ways of
+splitting the chain between y and z; expanding the chain one bracket
+at a time on y*z, z and y gives that sum with the two Leibniz terms
+cancelled, 2^h - 2 terms of coefficient +-1 for fresh y and z.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .ac import (
     Coefficient,
     Variable,
     Word,
+    _accumulate,
     ac_bracket,
     enumerate_polylinear_basis,
     i_normal_form,
@@ -30,6 +38,7 @@ from .assoc import AssocPoly
 from .gp import (
     GPPoly,
     Monomial,
+    _sorted_factors,
     is_polylinear,
     substitute,
     variable_degrees,
@@ -75,20 +84,57 @@ def _fresh_variables(f: GPPoly, like: Variable, count: int) -> list[Variable]:
     return [Variable(like.base, top + i) for i in range(1, count + 1)]
 
 
+def _chain(factors: Sequence[Word], p: GPPoly) -> GPPoly:
+    """{a1,{a2,...{ah,p}...}} for the factors a1..ah, innermost first."""
+    for a in reversed(factors):
+        if p.is_zero():
+            break
+        p = GPPoly.from_factors((a,)).bracket(p)
+    return p
+
+
+def _factor_difference(w: Word, x: Variable, y: Word, z: Word) -> dict[Monomial, Coefficient]:
+    """Terms of the derivation difference of the single factor `w`.
+
+    With w = s*{a1,{a2,...{ah,x}...}} (`i_normal_form`) they are those
+    of s*(chain(y*z) - y*chain(z) - z*chain(y)).  The chain is applied
+    one bracket at a time, so chain(y*z) doubles its terms at each level
+    and shares every prefix; a bare factor x (h = 0) leaves -y*z.
+    """
+    op = i_normal_form(w, x)
+    s = op.sign
+    yz = _chain(op.factors, GPPoly.from_factors((y, z)))
+    acc = {k: s * d for k, d in yz._terms.items()}  # keys already sorted
+    for inner, outer in ((z, y), (y, z)):
+        for k, d in _chain(op.factors, GPPoly.from_factors((inner,)))._terms.items():
+            _accumulate(acc, _sorted_factors(k + (outer,)), -s * d)
+    return acc
+
+
 def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> GPPoly:
     """f with y*z plugged into x, minus the two Leibniz terms.
 
     Vanishes exactly when f is a derivation in x.  The callers that
     reduce heights pass y = x; fresh y, z give the defining test.
+
+    Linear in x, each monomial has one factor holding x, and only that
+    factor changes: the monomial contributes its other factors times the
+    difference of that factor alone (`_factor_difference`), which is
+    expanded once per distinct factor.
     """
     _require_linear(f, x)
-    gy = GPPoly.generator(y)
-    gz = GPPoly.generator(z)
-    return (
-        substitute(f, {x: gy * gz})
-        - gy * substitute(f, {x: gz})
-        - gz * substitute(f, {x: gy})
-    )
+    wy, wz = Word.leaf(y), Word.leaf(z)
+    differences: dict[Word, dict[Monomial, Coefficient]] = {}
+    acc: dict[Monomial, Coefficient] = {}
+    for m, c in f._terms.items():
+        i = next(i for i, w in enumerate(m) if x in w.varset)
+        terms = differences.get(m[i])
+        if terms is None:
+            terms = differences[m[i]] = _factor_difference(m[i], x, wy, wz)
+        rest = m[:i] + m[i + 1 :]
+        for k, d in terms.items():
+            _accumulate(acc, _sorted_factors(rest + k) if rest else k, c * d)
+    return GPPoly(acc)
 
 
 def is_derivation_in(f: GPPoly, x: Variable) -> bool:
@@ -344,8 +390,16 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
         {m for g in spanning for m in g._terms} | set(f._terms),
         key=lambda mono: tuple(w.key for w in mono),
     )
-    rows = [[g._terms.get(m, 0) for g in spanning] for m in monomials]
-    rhs = [f._terms.get(m, 0) for m in monomials]
+    # Fill the matrix from the nonzeros; every other cell is the one
+    # shared 0, which `RowReducer.add` skips by identity.
+    index = {m: r for r, m in enumerate(monomials)}
+    rows = [[0] * len(spanning) for _ in monomials]
+    for j, g in enumerate(spanning):
+        for m, c in g._terms.items():
+            rows[index[m]][j] = c
+    rhs = [0] * len(monomials)
+    for m, c in f._terms.items():
+        rhs[index[m]] = c
     coeffs = solve(rows, rhs)
     if coeffs is None:
         return ProductDecomposition(

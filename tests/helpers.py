@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 
 from freegp.ac import ACPoly, Linear, Variable, Word, _accumulate, normalize_word
 from freegp.assoc import AssocPoly
-from freegp.gp import GPPoly
+from freegp.gp import GPPoly, substitute
+from freegp.identities import _require_linear
 from freegp.parsing import parse, to_ac, to_gp
 
 J3_TEXT = "{{x1,x2},x3} + {{x2,x3},x1} + {{x3,x1},x2}"
@@ -70,6 +71,24 @@ def left_normed(variables) -> Word:
     for w in reversed(ws[:-1]):
         out = Word.node(w, out)
     return out
+
+
+# ---------------------------------------------------------------- derivation oracle
+
+
+def substitution_derivation_difference(
+    f: GPPoly, x: Variable, y: Variable, z: Variable
+) -> GPPoly:
+    """Test oracle for `freegp.identities.derivation_difference`: three
+    whole-element substitutions, f(x->y*z) - y*f(x->z) - z*f(x->y)."""
+    _require_linear(f, x)
+    gy = GPPoly.generator(y)
+    gz = GPPoly.generator(z)
+    return (
+        substitute(f, {x: gy * gz})
+        - gy * substitute(f, {x: gz})
+        - gz * substitute(f, {x: gy})
+    )
 
 
 # ---------------------------------------------------------------- linalg oracle
@@ -307,6 +326,34 @@ def gp_polys(variables, max_terms=3, max_factors=2, max_leaves=3):
             coefficients,
         ),
         min_size=0,
+        max_size=max_terms,
+    ).map(assemble)
+
+
+def linear_gp_polys(x: Variable, variables, max_terms=3, max_factors=2, max_height=3):
+    """Elements linear in `x`: each term a coefficient times factors over
+    `variables` times one word holding `x` once.  That word is built along
+    its path to `x`, innermost step first: each step brackets a word over
+    `variables` onto the left or the right, and no step leaves a bare `x`
+    factor."""
+    spine = st.lists(st.tuples(raw_words(variables, 2), st.booleans()), max_size=max_height)
+
+    def assemble(termspecs):
+        total = GPPoly.zero()
+        for rest, steps, c in termspecs:
+            w = Word.leaf(x)
+            for a, left in steps:
+                w = Word.node(a, w) if left else Word.node(w, a)
+            g = GPPoly.constant(c) * GPPoly.from_ac(normalize_word(w))
+            for u in rest:
+                g = g * GPPoly.from_ac(normalize_word(u))
+            total = total + g
+        return total
+
+    return st.lists(
+        st.tuples(
+            st.lists(raw_words(variables, 3), max_size=max_factors), spine, coefficients
+        ),
         max_size=max_terms,
     ).map(assemble)
 

@@ -14,7 +14,10 @@ import pytest
 from freegp.cli import (
     MAX_BUDGET,
     MAX_JACOBIAN_N,
+    MAX_JACOBIAN_VARIABLES,
     MAX_LIE_DEGREE,
+    MAX_LIE_WORDS,
+    MAX_REDUCE_VARIABLES,
     MAX_SIZE,
     _VALUE_OPTIONS,
     build_parser,
@@ -208,6 +211,84 @@ class TestLieDegreeBound:
         at_bound = "u1*u2*u3*u4*u5*u6*u7*u8*u9 + 3 + u1"
         assert run_json(capsys, "lie-test", at_bound)[0] == 0
         assert run_json(capsys, "lie-test", "(" + at_bound + ")*u1")[0] == 1
+
+
+class TestLieWordBound:
+    def test_product_of_sums_exit_1_at_once(self, capsys):
+        # degree 9, but 3^9 words: it took 44 s before this bound
+        assert MAX_LIE_WORDS == 256
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "lie-test", "*".join(["(u1+u2+u3)"] * 9))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == "words=19683 exceeds the bound 256"
+
+    def test_at_the_bound_is_admitted(self, capsys):
+        assert run_json(capsys, "lie-test", "*".join(["(u1+u2)"] * 8))[0] == 0
+
+    @pytest.mark.parametrize("expr, words", [
+        ("*".join(["(u1+u2)"] * 8) + " + u3", 257),
+        ("{" + "*".join(["(u1+u2)"] * 4) + "," + "*".join(["(u1+u2)"] * 4) + "}", 512),
+        ("{u1+u2,{u3,u4}}*(u5+1)*((u1+u2)*(u3+u4+u5))*(u6+u7)*(u8+u9)", 384),
+    ], ids=["sum", "bracket", "group"])
+    def test_counts_sums_products_and_brackets(self, capsys, expr, words):
+        code, doc = run_json(capsys, "lie-test", expr)
+        assert code == 1 and doc["result"] == f"words={words} exceeds the bound 256"
+
+
+def left_normed_text(names) -> str:
+    text = names[-1]
+    for name in reversed(names[:-1]):
+        text = f"{{{name},{text}}}"
+    return text
+
+
+def right_normed_text(names) -> str:
+    text = names[0]
+    for name in names[1:]:
+        text = f"{{{text},{name}}}"
+    return text
+
+
+class TestVariableBounds:
+    """`reduce` and `jacobian` count the variables of the parsed input."""
+
+    def test_bounds(self):
+        assert (MAX_REDUCE_VARIABLES, MAX_JACOBIAN_VARIABLES) == (7, 16)
+
+    def test_slowest_reduce_at_the_bound_finishes(self, capsys):
+        names = [f"x{i}" for i in range(2, MAX_REDUCE_VARIABLES + 1)] + ["x1"]
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "reduce", right_normed_text(names))
+        assert code == 0 and doc["status"] == "ok"
+        assert time.perf_counter() - start < 10  # about 0.5 s on a 2-vCPU VM
+
+    def test_slowest_jacobian_at_the_bound_finishes(self, capsys):
+        names = [f"x{i}" for i in range(2, MAX_JACOBIAN_VARIABLES + 1)] + ["x1"]
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "jacobian", left_normed_text(names))
+        assert code == 0 and doc["result"] == {"jacobian": False}
+        assert time.perf_counter() - start < 10  # about 0.7 s on a 2-vCPU VM
+
+    @pytest.mark.parametrize("command, expr, count", [
+        ("reduce", left_normed_text([f"x{i}" for i in range(1, 9)]), 8),
+        ("reduce", "{x1,x2}*{x3,{x4,x5}}*{x6,{x7,x8}}*{x9,x10}*x11", 10),
+        ("reduce", left_normed_text([f"x{i}" for i in range(1, 10)]), 9),
+        ("jacobian", left_normed_text([f"x{i}" for i in range(1, 18)]), 17),
+        ("jacobian", left_normed_text([f"x{i}" for i in range(1, 20)]), 19),
+    ], ids=["reduce-8", "reduce-product-10", "reduce-9", "jacobian-17", "jacobian-19"])
+    def test_past_the_bound_exit_1_at_once(self, capsys, command, expr, count):
+        bound = MAX_REDUCE_VARIABLES if command == "reduce" else MAX_JACOBIAN_VARIABLES
+        start = time.perf_counter()
+        code, doc = run_json(capsys, command, expr)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == f"variables={count} exceeds the bound {bound}"
+
+    def test_reduce_counts_after_stripping_bare_factors(self, capsys):
+        text = right_normed_text([f"x{i}" for i in range(1, 8)]) + "*x8*x9"
+        code, doc = run_json(capsys, "reduce", text)
+        assert code == 0 and doc["status"] == "ok"
 
 
 class TestErrorPaths:

@@ -1,13 +1,21 @@
 """Derivation calculus: differences, Jacobian classification, reduction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from freegp.ac import ACPoly, Variable, enumerate_polylinear_basis, flip, normalize_word
+from freegp.ac import (
+    ACPoly,
+    Variable,
+    enumerate_polylinear_basis,
+    flip,
+    height,
+    normalize_word,
+)
 from freegp.assoc import is_lie_element
 from freegp.gp import GPPoly, substitute
 from freegp.identities import (
@@ -25,7 +33,22 @@ from freegp.identities import (
     strip_bare_factors,
 )
 
-from helpers import J3_TEXT, V, acp, gp, word, xvars
+from helpers import (
+    J3_TEXT,
+    V,
+    acp,
+    gp,
+    left_normed,
+    linear_gp_polys,
+    substitution_derivation_difference,
+    word,
+    xvars,
+)
+
+X = V("x4")
+# y and z range over fresh variables, x itself (the reduction's case) and
+# variables of f, independently, so y == z occurs too.
+SPLIT = st.sampled_from([X, V("x5"), V("x6"), V("x1"), V("x2")])
 
 
 class TestDerivationDifference:
@@ -48,6 +71,70 @@ class TestDerivationDifference:
     def test_reuse_of_x_as_y(self):
         d = derivation_difference(gp("{x1,{x2,x3}}"), V("x3"), V("x3"), V("x4"))
         assert d == gp("{x1,x3}*{x2,x4} + {x2,x3}*{x1,x4}")
+
+
+    def test_bare_factor(self):
+        d = derivation_difference(gp("3*x3*{x1,x2}"), V("x3"), V("y1"), V("y2"))
+        assert d == gp("-3*y1*y2*{x1,x2}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        linear_gp_polys(X, xvars(3))
+        | linear_gp_polys(X, xvars(3), max_terms=1, max_factors=0, max_height=4),
+        SPLIT,
+        SPLIT,
+    )
+    def test_matches_substitution_oracle(self, f, y, z):
+        # sums of products, and single words up to height 4
+        assert derivation_difference(f, X, y, z) == substitution_derivation_difference(
+            f, X, y, z
+        )
+
+    def test_matches_oracle_on_shared_and_untouched_factors(self):
+        # one x-factor under several products, and the same products with
+        # a bare x: the untouched factors ride along unchanged
+        f = gp(
+            "2*{x1,{x2,x4}}*{x3,x5} - {x1,{x2,x4}}*x3 + x3*{x2,{x5,x4}}"
+            " + x4*{x1,x2}*{x3,x1} + 1/2*{x2,{x1,x4}}"
+        )
+        for y, z in [(V("x6"), V("x7")), (X, V("x6")), (V("x1"), V("x3")), (V("x2"), V("x2"))]:
+            assert derivation_difference(f, X, y, z) == substitution_derivation_difference(
+                f, X, y, z
+            )
+
+    def test_operator_form_term_count(self):
+        # the difference of a height-h word in x_i is a sum over the proper
+        # nonempty subsets of its h operators: 2^h - 2 terms, all +-1
+        for n in range(2, 6):
+            xs = xvars(n)
+            y, z = Variable("x", n + 1), Variable("x", n + 2)
+            for w in enumerate_polylinear_basis(xs):
+                for xi in xs:
+                    d = derivation_difference(GPPoly.from_factors((w,)), xi, y, z)
+                    assert len(d._terms) == 2 ** height(w, xi) - 2
+                    assert set(d._terms.values()) <= {1, -1}
+
+    def test_deep_word_expands_each_prefix_once(self, monkeypatch):
+        # x1 innermost under h = 16 brackets: about 2 s on a 2-vCPU VM.
+        # Expanding the chain level by level brackets about 2^(h+1) word
+        # pairs; building each subset's chain apart takes about h*2^h.
+        import freegp.gp
+
+        pairs = 0
+        bracket_normal = freegp.gp.bracket_normal
+
+        def counted(u, v):
+            nonlocal pairs
+            pairs += 1
+            return bracket_normal(u, v)
+
+        monkeypatch.setattr(freegp.gp, "bracket_normal", counted)
+        xs = xvars(17)
+        f = GPPoly.from_ac(normalize_word(left_normed(xs[1:] + xs[:1])))
+        start = time.perf_counter()
+        assert not is_derivation_in(f, V("x1"))
+        assert time.perf_counter() - start < 20
+        assert pairs < 2 ** 18
 
 
 class TestIsDerivationIn:
