@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .ac import Variable, flip, height
+from .gp import GPPoly, variable_degrees
 from .identities import (
     farkas_height,
     is_jacobian,
@@ -55,6 +57,11 @@ MAX_LIE_WORDS = 256
 # and 4 s at 8; the Jacobian test takes about 0.7 s at 16 and 1.7 s at 17.
 MAX_REDUCE_VARIABLES = 7
 MAX_JACOBIAN_VARIABLES = 16
+# Terms `linearize` expands before it keeps the multilinear part: a
+# monomial where each variable v occurs d_v times gives at most the
+# product of d_v^d_v.  A degree-6 variable in a 12-letter word, the
+# slowest shape at the bound, takes about 2 s; degree 7 took 22 s.
+MAX_LINEARIZE_TERMS = 6**6
 
 # Options that take a value; `main` skips those values when it names the
 # subcommand of a command line it cannot parse.
@@ -186,8 +193,18 @@ def _cmd_reduce(args):
     return payload, human
 
 
+def _polarization_size(f: GPPoly) -> int:
+    """Sum over the monomials of f of the product of d^d over the
+    degrees d of its variables."""
+    return sum(
+        math.prod(d**d for d in variable_degrees(m).values()) for m in f.monomials()
+    )
+
+
 def _cmd_linearize(args):
-    return repr(linearize(to_gp(parse(args.expr)))), None
+    f = to_gp(parse(args.expr))
+    _check_bound("terms", _polarization_size(f), MAX_LINEARIZE_TERMS)
+    return repr(linearize(f)), None
 
 
 def _cmd_flip(args):

@@ -15,7 +15,9 @@ Only the factor holding x changes, and as a signed operator chain
 s*{a1,{a2,...{ah,x}...}} it sends y*z to a sum over the ways of
 splitting the chain between y and z; expanding the chain one bracket
 at a time on y*z, z and y gives that sum with the two Leibniz terms
-cancelled, 2^h - 2 terms of coefficient +-1 for fresh y and z.
+cancelled, 2^h - 2 terms of coefficient +-1 for fresh y and z.  That
+difference holds no x, so y = x only relabels it: D(f, x, x, z) alone
+decides derivations and is the next element of a height reduction.
 """
 
 from __future__ import annotations
@@ -75,13 +77,13 @@ def jacobiator(a: ACPoly, b: ACPoly, c: ACPoly) -> ACPoly:
 
 def _require_linear(f: GPPoly, x: Variable) -> None:
     for m in f._terms:
-        if variable_degrees(m)[x] != 1:
+        if sum(w.count(x) for w in m) != 1:
             raise ValueError(f"input is not linear in {x}")
 
 
-def _fresh_variables(f: GPPoly, like: Variable, count: int) -> list[Variable]:
-    top = max((v.index for v in f.variables() | {like}), default=0)
-    return [Variable(like.base, top + i) for i in range(1, count + 1)]
+def _fresh_variable(f: GPPoly, like: Variable) -> Variable:
+    top = max(v.index for v in f.variables() | {like})
+    return Variable(like.base, top + 1)
 
 
 def _chain(factors: Sequence[Word], p: GPPoly) -> GPPoly:
@@ -114,8 +116,8 @@ def _factor_difference(w: Word, x: Variable, y: Word, z: Word) -> dict[Monomial,
 def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> GPPoly:
     """f with y*z plugged into x, minus the two Leibniz terms.
 
-    Vanishes exactly when f is a derivation in x.  The callers that
-    reduce heights pass y = x; fresh y, z give the defining test.
+    Vanishes exactly when f is a derivation in x; so does D(f, x, x, z),
+    its relabeling y -> x for fresh y, which is what the callers compute.
 
     Linear in x, each monomial has one factor holding x, and only that
     factor changes: the monomial contributes its other factors times the
@@ -138,8 +140,8 @@ def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> G
 
 
 def is_derivation_in(f: GPPoly, x: Variable) -> bool:
-    y, z = _fresh_variables(f, x, 2)
-    return derivation_difference(f, x, y, z).is_zero()
+    """Whether D(f, x, x, z) vanishes for a fresh z; f must be linear in x."""
+    return derivation_difference(f, x, x, _fresh_variable(f, x)).is_zero()
 
 
 def is_jacobian(f: GPPoly) -> bool:
@@ -165,21 +167,20 @@ def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
 def jacobian_space(n: int) -> list[ACPoly]:
     """Basis of the polylinear elements on x1..xn that are Jacobian.
 
-    Solves the exact linear system "derivation difference vanishes for
-    each variable" over the basis of polylinear normal words.  The
+    Solves the exact linear system "D(w, xi, xi, x_{n+1}) vanishes for
+    each xi" over the basis of polylinear normal words w.  The
     dimension is 1 for n = 2 and n = 3 and 0 beyond.
     """
     if n < 2:
         raise ValueError("need at least two variables")
     xs = [Variable("x", i) for i in range(1, n + 1)]
-    y, z = Variable("x", n + 1), Variable("x", n + 2)
+    z = Word.leaf(Variable("x", n + 1))
     words = enumerate_polylinear_basis(xs)
     reducer = RowReducer(len(words))
     for xi in xs:
         rows: dict[Monomial, list[Coefficient]] = {}
         for j, w in enumerate(words):
-            diff = derivation_difference(GPPoly.from_factors((w,)), xi, y, z)
-            for m, c in diff._terms.items():
+            for m, c in _factor_difference(w, xi, Word.leaf(xi), z).items():
                 row = rows.get(m)
                 if row is None:
                     row = rows[m] = [0] * len(words)
@@ -296,9 +297,9 @@ class ReductionStep:
 def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
     """Iterate derivation differences until the result is Jacobian.
 
-    At each step the smallest variable in which f fails to be a
-    derivation is split against a fresh variable; the total height
-    strictly decreases, which forces termination.
+    At each step the smallest variable v with a nonzero difference
+    D(f, v, v, fresh) gives the next element; the total height strictly
+    decreases, which forces termination.
     """
     if f.is_zero():
         raise ValueError("cannot reduce the zero polynomial")
@@ -307,24 +308,21 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
     if _bare_factor_variables(f):
         raise ValueError("bare variable factors present; strip_bare_factors first")
     g = f
+    before = farkas_height(g).total
     steps: list[ReductionStep] = []
     while True:
-        failing = next(
-            (v for v in sorted(g.variables()) if not is_derivation_in(g, v)), None
-        )
-        if failing is None:
+        for v in sorted(g.variables()):
+            fresh = _fresh_variable(g, v)
+            d = derivation_difference(g, v, v, fresh)
+            if not d.is_zero():
+                break
+        else:
             return g, steps
-        before = farkas_height(g).total
-        fresh = _fresh_variables(g, failing, 1)[0]
-        g = derivation_difference(g, failing, failing, fresh)
-        if g.is_zero():
-            raise ArithmeticError(
-                "derivation difference vanished for a non-derivation variable"
-            )
-        after = farkas_height(g).total
+        after = farkas_height(d).total
         if after >= before:
             raise ArithmeticError("total height failed to decrease")
-        steps.append(ReductionStep(failing, fresh, before, after))
+        steps.append(ReductionStep(v, fresh, before, after))
+        g, before = d, after
 
 
 def jacobian_reduce(f: GPPoly) -> GPPoly:

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .ac import Variable
-from .gp import GPPoly, _homomorphism, is_polylinear
+from .gp import GPPoly, _homomorphism, _monomial_key, is_polylinear
 from .ratfunc import MultiPoly
 
 __all__ = [
@@ -116,9 +116,7 @@ def _witness_plan(f: GPPoly):
     ]
     if not candidates:
         return None
-    chosen = min(
-        candidates, key=lambda m: (sum(w.degree for w in m), len(m), tuple(w.key for w in m))
-    )
+    chosen = min(candidates, key=_monomial_key)
     starts = []
     k = 1
     for w in chosen:

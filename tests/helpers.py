@@ -4,11 +4,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import hypothesis.strategies as st
+from hypothesis import assume
 
 from freegp.ac import ACPoly, Linear, Variable, Word, _accumulate, normalize_word
 from freegp.assoc import AssocPoly
 from freegp.gp import GPPoly, substitute
-from freegp.identities import _require_linear
+from freegp.identities import ReductionStep, _require_linear, farkas_height
 from freegp.parsing import parse, to_ac, to_gp
 
 J3_TEXT = "{{x1,x2},x3} + {{x2,x3},x1} + {{x3,x1},x2}"
@@ -89,6 +90,36 @@ def substitution_derivation_difference(
         - gy * substitute(f, {x: gz})
         - gz * substitute(f, {x: gy})
     )
+
+
+def two_pass_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
+    """Test oracle for `freegp.identities.jacobian_reduce_trace` on valid
+    input: each step first finds the smallest variable v failing the
+    Leibniz test with two fresh variables, then takes the difference
+    with y = v and one fresh variable, both by substitution."""
+
+    def fresh(g: GPPoly, v: Variable, i: int) -> Variable:
+        return Variable(v.base, max(u.index for u in g.variables() | {v}) + i)
+
+    g = f
+    steps: list[ReductionStep] = []
+    while True:
+        failing = next(
+            (
+                v
+                for v in sorted(g.variables())
+                if not substitution_derivation_difference(
+                    g, v, fresh(g, v, 1), fresh(g, v, 2)
+                ).is_zero()
+            ),
+            None,
+        )
+        if failing is None:
+            return g, steps
+        z = fresh(g, failing, 1)
+        before = farkas_height(g).total
+        g = substitution_derivation_difference(g, failing, failing, z)
+        steps.append(ReductionStep(failing, z, before, farkas_height(g).total))
 
 
 # ---------------------------------------------------------------- linalg oracle
@@ -356,6 +387,35 @@ def linear_gp_polys(x: Variable, variables, max_terms=3, max_factors=2, max_heig
         ),
         max_size=max_terms,
     ).map(assemble)
+
+
+@st.composite
+def polylinear_gp_polys(draw, min_vars=2, max_vars=6, max_terms=3):
+    """Nonzero polylinear elements on x1..xn without bare factors: each
+    term a coefficient times one bracket word per block of a set
+    partition of x1..xn into blocks of two letters or more."""
+
+    def tree(letters):
+        if len(letters) == 1:
+            return Word.leaf(letters[0])
+        k = draw(st.integers(1, len(letters) - 1))
+        return Word.node(tree(letters[:k]), tree(letters[k:]))
+
+    n = draw(st.integers(min_vars, max_vars))
+    total = GPPoly.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        order = draw(st.permutations(xvars(n)))
+        cuts = [0]
+        for i in range(2, n - 1):
+            if i - cuts[-1] >= 2 and draw(st.booleans()):
+                cuts.append(i)
+        cuts.append(n)
+        g = GPPoly.constant(draw(coefficients))
+        for a, b in zip(cuts, cuts[1:]):
+            g = g * GPPoly.from_ac(normalize_word(tree(order[a:b])))
+        total = total + g
+    assume(not total.is_zero())
+    return total
 
 
 def assoc_polys(letters, max_terms=4, max_length=4):

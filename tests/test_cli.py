@@ -17,6 +17,7 @@ from freegp.cli import (
     MAX_JACOBIAN_VARIABLES,
     MAX_LIE_DEGREE,
     MAX_LIE_WORDS,
+    MAX_LINEARIZE_TERMS,
     MAX_REDUCE_VARIABLES,
     MAX_SIZE,
     _VALUE_OPTIONS,
@@ -289,6 +290,42 @@ class TestVariableBounds:
         text = right_normed_text([f"x{i}" for i in range(1, 8)]) + "*x8*x9"
         code, doc = run_json(capsys, "reduce", text)
         assert code == 0 and doc["status"] == "ok"
+
+
+class TestLinearizeBound:
+    """`linearize` counts, on the parsed element, the terms its
+    substitutions expand: per monomial the product of d^d over the
+    degrees d of its variables, summed over the monomials."""
+
+    def test_slowest_shape_at_the_bound_finishes(self, capsys):
+        assert MAX_LINEARIZE_TERMS == 6**6
+        names = ["x2", "x1", "x1", "x3", "x4", "x1", "x1", "x5", "x6", "x1", "x1", "x7"]
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "linearize", right_normed_text(names))
+        assert code == 0 and doc["status"] == "ok"
+        assert time.perf_counter() - start < 10  # about 2 s on a 2-vCPU VM
+
+    @pytest.mark.parametrize("expr, terms", [
+        # x1 in every other leaf of 14: it took 22 s before this bound
+        (left_normed_text([name for i in range(2, 9) for name in ("x1", f"x{i}")]), 7**7),
+        ("*".join(["x1"] * 10), 10**10),
+    ], ids=["degree-7-word", "product-10"])
+    def test_past_the_bound_exit_1_at_once(self, capsys, expr, terms):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "linearize", expr)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == f"terms={terms} exceeds the bound 46656"
+
+    @pytest.mark.parametrize("expr, terms", [
+        ("x1*x1*x1*x1*x1*x1*x2 + x1*x1*x1*x1*x1*x1*x3", 2 * 6**6),
+        ("*".join(f"{{x1,x{i}}}" for i in range(2, 8)) + "*x1", 7**7),
+        (left_normed_text(["x1", "x2"] * 4), 4**4 * 4**4),
+        (left_normed_text(["x1", "x2", "x3", "x4"] * 3), 27**4),
+    ], ids=["sum", "across-factors", "two-variables", "four-variables"])
+    def test_counts(self, capsys, expr, terms):
+        code, doc = run_json(capsys, "linearize", expr)
+        assert code == 1 and doc["result"] == f"terms={terms} exceeds the bound 46656"
 
 
 class TestErrorPaths:

@@ -40,7 +40,9 @@ from helpers import (
     gp,
     left_normed,
     linear_gp_polys,
+    polylinear_gp_polys,
     substitution_derivation_difference,
+    two_pass_reduce_trace,
     word,
     xvars,
 )
@@ -49,6 +51,9 @@ X = V("x4")
 # y and z range over fresh variables, x itself (the reduction's case) and
 # variables of f, independently, so y == z occurs too.
 SPLIT = st.sampled_from([X, V("x5"), V("x6"), V("x1"), V("x2")])
+FRESH_PAIRS = st.lists(
+    st.sampled_from([V("x5"), V("x6"), V("y1"), V("t2")]), min_size=2, max_size=2, unique=True
+)
 
 
 class TestDerivationDifference:
@@ -138,6 +143,15 @@ class TestDerivationDifference:
 
 
 class TestIsDerivationIn:
+    @settings(max_examples=300, deadline=None)
+    @given(linear_gp_polys(X, xvars(3)), FRESH_PAIRS)
+    def test_matches_the_test_with_two_fresh_variables(self, f, yz):
+        # the library decides with y = x and one fresh z, the definition
+        # with two fresh y != z
+        y, z = yz
+        expected = substitution_derivation_difference(f, X, y, z).is_zero()
+        assert is_derivation_in(f, X) == expected
+
     def test_examples(self):
         assert is_derivation_in(gp("{x1,x2}"), V("x2"))
         assert is_derivation_in(gp(J3_TEXT), V("x1"))
@@ -294,6 +308,11 @@ class TestJacobianReduce:
     def test_bare_factors_rejected(self):
         with pytest.raises(ValueError, match="bare"):
             jacobian_reduce(gp("{x1,x2}*x3"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(polylinear_gp_polys())
+    def test_matches_the_two_pass_oracle(self, f):
+        assert jacobian_reduce_trace(f) == two_pass_reduce_trace(f)
 
     def test_deep_word_terminates_with_decreasing_heights(self):
         reduced, steps = jacobian_reduce_trace(gp("{x1,{x2,{x3,x4}}}"))
