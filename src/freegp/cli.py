@@ -14,7 +14,7 @@ import math
 import sys
 
 from .ac import Variable, flip, height
-from .gp import GPPoly, variable_degrees
+from .gp import GPPoly, is_polylinear, variable_degrees
 from .identities import (
     farkas_height,
     is_jacobian,
@@ -57,6 +57,11 @@ MAX_LIE_WORDS = 256
 # and 4 s at 8; the Jacobian test takes about 0.7 s at 16 and 1.7 s at 17.
 MAX_REDUCE_VARIABLES = 7
 MAX_JACOBIAN_VARIABLES = 16
+# Terms the Jacobian test expands before cancellation: in each monomial a
+# variable at height h in its factor gives 2^h.  The bound is the count of
+# the left-normed 16-letter word, the largest of any single word at the
+# variable bound; a sum of two of them took about 2 s and is refused.
+MAX_JACOBIAN_TERMS = 3 * 2**15 - 2
 # Terms `linearize` expands before it keeps the multilinear part: a
 # monomial where each variable v occurs d_v times gives at most the
 # product of d_v^d_v.  A degree-6 variable in a 12-letter word, the
@@ -169,9 +174,18 @@ def _cmd_mul(args):
     return repr(value), None
 
 
+def _difference_size(f: GPPoly) -> int:
+    """Sum over the monomials of f, their factors w and the variables v
+    of w of 2^height(w, v); every v must occur in w once."""
+    sizes = {w: sum(2 ** height(w, v) for v in w.varset) for w in f.factor_words()}
+    return sum(sizes[w] for m in f.monomials() for w in m)
+
+
 def _cmd_jacobian(args):
     f = to_gp(parse(args.expr))
     _check_bound("variables", len(f.variables()), MAX_JACOBIAN_VARIABLES)
+    if is_polylinear(f):  # otherwise `is_jacobian` refuses it unexpanded
+        _check_bound("terms", _difference_size(f), MAX_JACOBIAN_TERMS)
     return {"jacobian": is_jacobian(f)}, None
 
 

@@ -13,9 +13,10 @@ difference, and decomposition into products of the two basic shapes.
 The derivation difference never substitutes into the whole element.
 Only the factor holding x changes, and as a signed operator chain
 s*{a1,{a2,...{ah,x}...}} it sends y*z to a sum over the ways of
-splitting the chain between y and z; expanding the chain one bracket
-at a time on y*z, z and y gives that sum with the two Leibniz terms
-cancelled, 2^h - 2 terms of coefficient +-1 for fresh y and z.  That
+splitting the chain between y and z.  The two Leibniz terms are the
+splits that give y or z no operator, the only terms with a bare y or
+z; expanding the chain one bracket at a time on y*z and dropping them
+leaves 2^h - 2 terms of coefficient +-1 for fresh y and z.  That
 difference holds no x, so y = x only relabels it: D(f, x, x, z) alone
 decides derivations and is the next element of a height reduction.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .ac import (
@@ -32,6 +34,7 @@ from .ac import (
     Variable,
     Word,
     _accumulate,
+    _coefficient,
     ac_bracket,
     enumerate_polylinear_basis,
     i_normal_form,
@@ -45,7 +48,11 @@ from .gp import (
     substitute,
     variable_degrees,
 )
-from .linalg import RowReducer, primitive_integer_vector, solve
+from .linalg import RowReducer, primitive_integer_vector
+
+# Unused here; perfbench's tracer test checks that patching `solve` also
+# rebinds it in this namespace.  It goes when the tracer drops `solve`.
+from .linalg import solve  # noqa: F401
 
 __all__ = [
     "jacobiator",
@@ -101,16 +108,17 @@ def _factor_difference(w: Word, x: Variable, y: Word, z: Word) -> dict[Monomial,
     With w = s*{a1,{a2,...{ah,x}...}} (`i_normal_form`) they are those
     of s*(chain(y*z) - y*chain(z) - z*chain(y)).  The chain is applied
     one bracket at a time, so chain(y*z) doubles its terms at each level
-    and shares every prefix; a bare factor x (h = 0) leaves -y*z.
+    and shares every prefix.  For h >= 1 the two Leibniz terms are its
+    only terms with a degree-one factor, so dropping those terms
+    subtracts them; a bare factor x (h = 0) leaves -y*z.
     """
     op = i_normal_form(w, x)
     s = op.sign
+    if not op.factors:
+        return {_sorted_factors((y, z)): -s}
     yz = _chain(op.factors, GPPoly.from_factors((y, z)))
-    acc = {k: s * d for k, d in yz._terms.items()}  # keys already sorted
-    for inner, outer in ((z, y), (y, z)):
-        for k, d in _chain(op.factors, GPPoly.from_factors((inner,)))._terms.items():
-            _accumulate(acc, _sorted_factors(k + (outer,)), -s * d)
-    return acc
+    # keys are sorted by `Word.key`, so k[0] is a factor of least degree
+    return {k: s * d for k, d in yz._terms.items() if k[0].degree > 1}
 
 
 def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> GPPoly:
@@ -369,7 +377,11 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
     """Exact coefficients of f over products of pair brackets and
     three-variable jacobiators, one product per 2/3-partition of the
     support.  Fails when the support size is not a sum of 2s and 3s or
-    the system is inconsistent."""
+    f is not in the span.
+
+    A monomial of a product names its partition (the variable sets of
+    its factors), so f's monomials group by partition and each group
+    must be one multiple of that partition's product."""
     if not is_jacobian(f):
         raise ValueError("input is not Jacobian")
     vs = sorted(f.variables())
@@ -378,35 +390,30 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
         return ProductDecomposition(
             False, (), (), f"support size {len(vs)} is not a sum of 2s and 3s"
         )
-    spanning: list[GPPoly] = []
+    not_spanned = ProductDecomposition(
+        False, (), (), "not in the span of pair/triple bracket products"
+    )
+    groups: dict[frozenset, dict[Monomial, Coefficient]] = {}
+    for m, c in f._terms.items():
+        groups.setdefault(frozenset(tuple(sorted(w.varset)) for w in m), {})[m] = c
+    terms = []
+    blocks = []
     for part in partitions:
+        group = groups.pop(frozenset(part), None)
+        if group is None:
+            continue
         g = GPPoly.one()
         for block in part:
             g = g * GPPoly.from_ac(_block_element(block))
-        spanning.append(g)
-    monomials = sorted(
-        {m for g in spanning for m in g._terms} | set(f._terms),
-        key=lambda mono: tuple(w.key for w in mono),
-    )
-    # Fill the matrix from the nonzeros; every other cell is the one
-    # shared 0, which `RowReducer.add` skips by identity.
-    index = {m: r for r, m in enumerate(monomials)}
-    rows = [[0] * len(spanning) for _ in monomials]
-    for j, g in enumerate(spanning):
-        for m, c in g._terms.items():
-            rows[index[m]][j] = c
-    rhs = [0] * len(monomials)
-    for m, c in f._terms.items():
-        rhs[index[m]] = c
-    coeffs = solve(rows, rhs)
-    if coeffs is None:
-        return ProductDecomposition(
-            False, (), (), "not in the span of pair/triple bracket products"
-        )
-    terms = []
-    blocks = []
-    for part, g, c in zip(partitions, spanning, coeffs):
-        if c:
-            terms.append((c, g))
-            blocks.append(part)
+        # g holds every monomial that names the partition (a pair has one
+        # normal word and a jacobiator all three), so the group is c*g
+        # exactly when it agrees with c*g on the monomials of g
+        m, d = next(iter(g._terms.items()))
+        c = _coefficient(Fraction(group.get(m, 0), d))
+        if any(group.get(m) != c * d for m, d in g._terms.items()):
+            return not_spanned
+        terms.append((c, g))
+        blocks.append(part)
+    if groups:  # monomials that name no 2/3-partition of the support
+        return not_spanned
     return ProductDecomposition(True, tuple(terms), tuple(blocks))

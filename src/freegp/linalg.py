@@ -3,10 +3,13 @@
 One sparse row-reduction engine with deterministic pivoting (leftmost
 nonzero column, rows in arrival order), incremental rank tracking,
 nullspace bases and linear solves.  Rows come in dense, as sequences of
-exact numbers (`int` or `Fraction`); only their nonzero entries are
-converted to `Fraction` and stored, each basis row a dict from column
-to nonzero value.  The basis is kept in reduced row-echelon form, which
-is unique for a row space, so the rank after each row, the nullspace
+numbers; only their nonzero entries are stored, each basis row a dict
+from column to nonzero value.  Entries are integer-first like the
+`Linear` types: each is normalized once on entry (`int` when integral,
+else `Fraction`, so a `float` is read exactly) and the arithmetic runs
+without re-normalizing, so integer rows eliminated with unit pivots
+stay `int`.  The basis is kept in reduced row-echelon form, which is
+unique for a row space, so the rank after each row, the nullspace
 vectors and the solutions do not depend on how the elimination is
 organized.
 """
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .ac import Coefficient
+from .ac import Coefficient, _coefficient
 
 __all__ = ["RowReducer", "solve", "primitive_integer_vector"]
 
@@ -28,7 +31,7 @@ class RowReducer:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: dict[int, dict[int, Fraction]] = {}  # pivot column -> nonzeros
+        self.pivots: dict[int, dict[int, Coefficient]] = {}  # pivot column -> nonzeros
 
     @property
     def rank(self) -> int:
@@ -42,7 +45,7 @@ class RowReducer:
         # saves a `__bool__` call per cell.
         zero = next((x for x in row if not x), None)
         work = {
-            j: x if type(x) is Fraction else Fraction(x)
+            j: x if type(x) is int else _coefficient(x)
             for j, x in enumerate(row)
             if x is not zero and x
         }
@@ -56,7 +59,7 @@ class RowReducer:
         lead = min(work)
         inv = work[lead]
         if inv != 1:
-            inv = 1 / inv
+            inv = _coefficient(Fraction(1) / inv)  # -1 stays an int
             work = {j: x * inv for j, x in work.items()}
         for prow in pivots.values():
             c = prow.get(lead)
@@ -65,14 +68,13 @@ class RowReducer:
         pivots[lead] = work
         return True
 
-    def nullspace(self) -> list[list[Fraction]]:
+    def nullspace(self) -> list[list[Coefficient]]:
         """Basis of the kernel, one vector per free column, in column order."""
-        zero, one = Fraction(0), Fraction(1)
-        basis: dict[int, list[Fraction]] = {}
+        basis: dict[int, list[Coefficient]] = {}
         for f in range(self.ncols):
             if f not in self.pivots:
-                vec = basis[f] = [zero] * self.ncols
-                vec[f] = one
+                vec = basis[f] = [0] * self.ncols
+                vec[f] = 1
         # every nonzero off the pivot of a reduced row is in a free column
         for p, prow in self.pivots.items():
             for j, c in prow.items():
@@ -81,7 +83,9 @@ class RowReducer:
         return list(basis.values())
 
 
-def _subtract(target: dict[int, Fraction], c: Fraction, prow: dict[int, Fraction]) -> None:
+def _subtract(
+    target: dict[int, Coefficient], c: Coefficient, prow: dict[int, Coefficient]
+) -> None:
     """target -= c * prow, dropping the entries that cancel."""
     for j, v in prow.items():
         x = target.get(j)
@@ -97,7 +101,7 @@ def _subtract(target: dict[int, Fraction], c: Fraction, prow: dict[int, Fraction
 
 def solve(
     rows: Sequence[Sequence[Coefficient]], rhs: Sequence[Coefficient]
-) -> list[Fraction] | None:
+) -> list[Coefficient] | None:
     """One exact solution of A x = b (free coordinates zero), or None."""
     if len(rows) != len(rhs):
         raise ValueError("matrix/vector size mismatch")
@@ -107,7 +111,7 @@ def solve(
         red.add(list(row) + [b])
     if ncols in red.pivots:
         return None  # a pivot in the augmented column: inconsistent
-    sol = [Fraction(0)] * ncols
+    sol: list[Coefficient] = [0] * ncols
     for col, prow in red.pivots.items():
         if ncols in prow:
             sol[col] = prow[ncols]

@@ -9,7 +9,16 @@ from hypothesis import assume
 from freegp.ac import ACPoly, Linear, Variable, Word, _accumulate, normalize_word
 from freegp.assoc import AssocPoly
 from freegp.gp import GPPoly, substitute
-from freegp.identities import ReductionStep, _require_linear, farkas_height
+from freegp.identities import (
+    ProductDecomposition,
+    ReductionStep,
+    _block_element,
+    _partitions_23,
+    _require_linear,
+    farkas_height,
+    is_jacobian,
+)
+from freegp.linalg import solve
 from freegp.parsing import parse, to_ac, to_gp
 
 J3_TEXT = "{{x1,x2},x3} + {{x2,x3},x1} + {{x3,x1},x2}"
@@ -120,6 +129,55 @@ def two_pass_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
         before = farkas_height(g).total
         g = substitution_derivation_difference(g, failing, failing, z)
         steps.append(ReductionStep(failing, z, before, farkas_height(g).total))
+
+
+# ---------------------------------------------------------------- decomposition oracle
+
+
+def solve_product_decompose(f: GPPoly) -> ProductDecomposition:
+    """Test oracle for `freegp.identities.jacobian_product_decompose`:
+    one column per 2/3-partition product over the monomials of all of
+    them and of f, and one exact linear solve."""
+    if not is_jacobian(f):
+        raise ValueError("input is not Jacobian")
+    vs = sorted(f.variables())
+    partitions = list(_partitions_23(vs))
+    if not partitions:
+        return ProductDecomposition(
+            False, (), (), f"support size {len(vs)} is not a sum of 2s and 3s"
+        )
+    spanning: list[GPPoly] = []
+    for part in partitions:
+        g = GPPoly.one()
+        for block in part:
+            g = g * GPPoly.from_ac(_block_element(block))
+        spanning.append(g)
+    monomials = sorted(
+        {m for g in spanning for m in g._terms} | set(f._terms),
+        key=lambda mono: tuple(w.key for w in mono),
+    )
+    # Fill the matrix from the nonzeros; every other cell is the one
+    # shared 0, which `RowReducer.add` skips by identity.
+    index = {m: r for r, m in enumerate(monomials)}
+    rows = [[0] * len(spanning) for _ in monomials]
+    for j, g in enumerate(spanning):
+        for m, c in g._terms.items():
+            rows[index[m]][j] = c
+    rhs = [0] * len(monomials)
+    for m, c in f._terms.items():
+        rhs[index[m]] = c
+    coeffs = solve(rows, rhs)
+    if coeffs is None:
+        return ProductDecomposition(
+            False, (), (), "not in the span of pair/triple bracket products"
+        )
+    terms = []
+    blocks = []
+    for part, g, c in zip(partitions, spanning, coeffs):
+        if c:
+            terms.append((c, g))
+            blocks.append(part)
+    return ProductDecomposition(True, tuple(terms), tuple(blocks))
 
 
 # ---------------------------------------------------------------- linalg oracle

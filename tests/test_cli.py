@@ -14,6 +14,7 @@ import pytest
 from freegp.cli import (
     MAX_BUDGET,
     MAX_JACOBIAN_N,
+    MAX_JACOBIAN_TERMS,
     MAX_JACOBIAN_VARIABLES,
     MAX_LIE_DEGREE,
     MAX_LIE_WORDS,
@@ -21,10 +22,11 @@ from freegp.cli import (
     MAX_REDUCE_VARIABLES,
     MAX_SIZE,
     _VALUE_OPTIONS,
+    _difference_size,
     build_parser,
     main,
 )
-from freegp.parsing import MAX_DEPTH
+from freegp.parsing import MAX_DEPTH, parse, to_gp
 
 J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
 
@@ -290,6 +292,53 @@ class TestVariableBounds:
         text = right_normed_text([f"x{i}" for i in range(1, 8)]) + "*x8*x9"
         code, doc = run_json(capsys, "reduce", text)
         assert code == 0 and doc["status"] == "ok"
+
+
+class TestJacobianTermBound:
+    """`jacobian` counts, on the parsed element, the terms its derivation
+    differences expand: per monomial, 2^h for each variable at height h
+    in its factor."""
+
+    WORD = left_normed_text([f"x{i}" for i in range(2, 17)] + ["x1"])
+
+    def test_the_slowest_word_is_the_bound(self, capsys):
+        # depths 1..15 and 15 in the left-normed 16-letter word
+        assert MAX_JACOBIAN_TERMS == sum(2**h for h in range(1, 16)) + 2**15 == 98302
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "jacobian", self.WORD)
+        assert code == 0 and doc["result"] == {"jacobian": False}
+        assert time.perf_counter() - start < 10  # about 0.7 s on a 2-vCPU VM
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_sums_of_the_slowest_word_exit_1_at_once(self, capsys, k):
+        # each x_i innermost once: the parent expanded about k times one word
+        names = [f"x{i}" for i in range(1, 17)]
+        words = [left_normed_text(names[i + 1:] + names[:i + 1]) for i in range(k)]
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "jacobian", " + ".join(words))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == f"terms={k * MAX_JACOBIAN_TERMS} exceeds the bound 98302"
+
+    @pytest.mark.parametrize("expr, terms", [
+        ("{x1,x2}*{x3,x4}", 8),
+        ("{x1,x2}*x3*x4", 6),
+        ("{x1,{x2,{x3,x4}}}", 2 + 4 + 8 + 8),
+        ("{x1,{x2,x3}}*x4 - 2*{x2,{x1,x3}}*x4", 2 * (2 + 4 + 4 + 1)),
+    ], ids=["two-pairs", "bare", "left-normed-4", "shared-factor"])
+    def test_counts_each_monomial(self, expr, terms):
+        assert _difference_size(to_gp(parse(expr))) == terms
+
+    def test_counts_through_the_command(self, capsys):
+        pairs = "*".join(f"{{x{i},x{i + 1}}}" for i in range(1, 17, 2))
+        code, doc = run_json(capsys, "jacobian", f"{self.WORD} - 3*{pairs}")
+        assert code == 1
+        assert doc["result"] == f"terms={MAX_JACOBIAN_TERMS + 32} exceeds the bound 98302"
+
+    def test_non_polylinear_input_keeps_its_error(self, capsys):
+        code, doc = run_json(capsys, "jacobian", "{x1,x2}*x1")
+        assert code == 1
+        assert doc["result"] == "Jacobian test needs a polylinear input; linearize first"
 
 
 class TestLinearizeBound:

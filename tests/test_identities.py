@@ -1,8 +1,10 @@
 """Derivation calculus: differences, Jacobian classification, reduction."""
 
+import functools
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,12 @@ from freegp.ac import (
     normalize_word,
 )
 from freegp.assoc import is_lie_element
+import freegp.identities
 from freegp.gp import GPPoly, substitute
 from freegp.identities import (
+    _block_element,
+    _factor_difference,
+    _partitions_23,
     derivation_difference,
     farkas_height,
     is_derivation_in,
@@ -33,14 +39,17 @@ from freegp.identities import (
     strip_bare_factors,
 )
 
+import helpers
 from helpers import (
     J3_TEXT,
     V,
     acp,
+    coefficients,
     gp,
     left_normed,
     linear_gp_polys,
     polylinear_gp_polys,
+    solve_product_decompose,
     substitution_derivation_difference,
     two_pass_reduce_trace,
     word,
@@ -106,6 +115,27 @@ class TestDerivationDifference:
             assert derivation_difference(f, X, y, z) == substitution_derivation_difference(
                 f, X, y, z
             )
+
+    @pytest.mark.parametrize("text, y, z", [
+        ("x4", "x5", "x5"),  # h = 0, y == z
+        ("x4", "x1", "x1"),
+        ("{x1,x4}", "x5", "x5"),  # y == z at height >= 1
+        ("{x1,{x2,x4}}", "x5", "x5"),
+        ("{{x1,x2},{x3,x4}}", "x1", "x1"),
+        ("{x1,x4}", "x1", "x5"),  # a chain factor equal to the leaf y
+        ("{x1,{x2,x4}}", "x2", "x5"),
+        ("{x1,{x2,x4}}", "x1", "x2"),
+        ("{x1,{x2,{x3,x4}}}", "x5", "x3"),
+        ("{x1,{x2,{x3,x4}}}", "x1", "x1"),
+    ])
+    def test_factor_difference_edge_cases(self, text, y, z):
+        # the Leibniz terms are dropped, not subtracted: check the cases
+        # where they merge with each other or vanish
+        w = word(text)
+        terms = _factor_difference(w, X, word(y), word(z))
+        assert 0 not in terms.values()
+        expected = substitution_derivation_difference(GPPoly.from_factors((w,)), X, V(y), V(z))
+        assert GPPoly(terms) == expected
 
     def test_operator_form_term_count(self):
         # the difference of a height-h word in x_i is a sum over the proper
@@ -371,3 +401,108 @@ class TestProductDecompose:
         d = jacobian_product_decompose(f)
         assert d.ok and d.reconstruct() == f
         assert d.blocks[0] == ((V("x1"), V("x2")), (V("x3"), V("x4"), V("x5")))
+
+
+@functools.cache
+def partition_product(part) -> GPPoly:
+    g = GPPoly.one()
+    for block in part:
+        g = g * GPPoly.from_ac(_block_element(block))
+    return g
+
+
+def partition_key(m) -> frozenset:
+    """The blocks a monomial's factors hold, as `_partitions_23` writes them."""
+    return frozenset(tuple(sorted(w.varset)) for w in m)
+
+
+@st.composite
+def partition_combinations(draw):
+    """(f, coefficients): nonzero integer and `Fraction` multiples of
+    distinct 2/3-partition products on x1..xn, n = 2..7, summed."""
+    parts = list(_partitions_23(xvars(draw(st.integers(2, 7)))))
+    chosen = draw(st.lists(st.sampled_from(parts), min_size=1, max_size=4, unique=True))
+    f = GPPoly.zero()
+    coeffs = {}
+    for part in chosen:
+        coeffs[part] = draw(st.integers(-5, 5).filter(bool) | coefficients)
+        f = f + coeffs[part] * partition_product(part)
+    return f, coeffs
+
+
+class TestProductDecomposeAgainstSolve:
+    """The partition-indexed decomposition against the linear solve over
+    every partition product (`helpers.solve_product_decompose`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(partition_combinations())
+    def test_combinations(self, combination):
+        f, coeffs = combination
+        d = jacobian_product_decompose(f)
+        assert d == solve_product_decompose(f)
+        assert d.ok and d.reconstruct() == f
+        assert dict(zip(d.blocks, (c for c, _ in d.terms))) == coeffs
+        assert all(type(c) in (int, Fraction) for c, _ in d.terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        partition_combinations(),
+        st.sampled_from(["move", "drop", "add"]),
+        coefficients,
+        st.data(),
+    )
+    def test_perturbed_inputs(self, combination, kind, delta, data):
+        # one coefficient moved or dropped, or one monomial added: of a
+        # partition product, or of the left-normed word on all n
+        # variables, whose one block is no 2/3-partition once n > 3
+        f, _ = combination
+        vs = sorted(f.variables())
+        if kind == "add":
+            pool = {m for part in _partitions_23(vs) for m in partition_product(part)._terms}
+            pool |= GPPoly.from_ac(normalize_word(left_normed(vs)))._terms.keys()
+        else:
+            pool = f._terms.keys()
+        m = data.draw(st.sampled_from(sorted(pool, key=lambda k: [w.key for w in k])))
+        if kind == "drop":
+            delta = -f.coefficient(m)
+        g = f + GPPoly.from_factors(m, delta)
+        try:
+            expected = solve_product_decompose(g)
+        except ValueError:
+            with pytest.raises(ValueError, match="not Jacobian"):
+                jacobian_product_decompose(g)
+        else:
+            assert jacobian_product_decompose(g) == expected
+        # past the Jacobian precondition, both must agree on the span test
+        with mock.patch.object(freegp.identities, "is_jacobian", lambda _: True), \
+                mock.patch.object(helpers, "is_jacobian", lambda _: True):
+            assert jacobian_product_decompose(g) == solve_product_decompose(g)
+
+    def test_not_in_the_span(self):
+        # a monomial naming no partition, and a product with one monomial
+        # rescaled or dropped; the precondition is lifted so the span test
+        # is reached
+        pairs = partition_product(((V("x1"), V("x2")), (V("x3"), V("x4"))))
+        j5 = partition_product(((V("x1"), V("x2")), (V("x3"), V("x4"), V("x5"))))
+        m = next(iter(j5._terms))
+        for g in (
+            pairs + gp("{x1,{x2,{x3,x4}}}"),
+            j5 + GPPoly.from_factors(m),
+            j5 - GPPoly.from_factors(m, j5.coefficient(m)),
+        ):
+            with mock.patch.object(freegp.identities, "is_jacobian", lambda _: True):
+                d = jacobian_product_decompose(g)
+            assert (d.ok, d.terms, d.blocks) == (False, (), ())
+            assert d.reason == "not in the span of pair/triple bracket products"
+
+    def test_products_name_their_partition(self):
+        for n in range(8):
+            parts = list(_partitions_23(xvars(n)))
+            assert len({frozenset(p) for p in parts}) == len(parts)
+            for part in parts:
+                g = partition_product(part)
+                assert {partition_key(m) for m in g._terms} == {frozenset(part)}
+                # and every monomial that names it: one normal word per pair,
+                # all three per triple
+                triples = sum(len(block) == 3 for block in part)
+                assert len(g._terms) == 3**triples

@@ -42,6 +42,36 @@ def test_solve_inconsistent():
     assert solve(rows, [Fraction(1), Fraction(3)]) is None
 
 
+def test_unit_pivot_system_stays_integral():
+    # +-1 rows whose elimination meets only +-1 leading entries, -1 among
+    # them: the reduced basis is integral and every entry stays an `int`
+    rows = [
+        [-1, 1, 0, 0, 1],
+        [1, 0, -1, 0, 0],
+        [0, -1, 0, 1, -1],
+        [0, 0, 1, -1, 0],
+    ]
+    red = RowReducer(5)
+    assert [red.add(r) for r in rows] == [True, True, True, False]
+    assert red.pivots == {0: {0: 1, 3: -1}, 1: {1: 1, 3: -1, 4: 1}, 2: {2: 1, 3: -1}}
+    for prow in red.pivots.values():
+        assert all(type(v) is int for v in prow.values())
+    assert red.nullspace() == [[1, 1, 1, 1, 0], [0, -1, 0, 0, 1]]
+    assert all(type(x) is int for vec in red.nullspace() for x in vec)
+
+
+def test_float_entries_are_stored_exactly():
+    red = RowReducer(3)
+    red.add([0, 0.1, 0.3])
+    red.add([0.5, 0.25, 0])
+    # 0.1 and 0.3 are the binary fractions nearest them, not 1/10 and 3/10
+    third = Fraction(0.3) / Fraction(0.1)
+    assert third != 3
+    assert red.pivots == {1: {1: 1, 2: third}, 0: {0: 1, 2: -third / 2}}
+    for prow in red.pivots.values():
+        assert all(type(v) in (int, Fraction) for v in prow.values())
+
+
 def test_primitive_integer_vector():
     vec = [Fraction(-2, 3), Fraction(4, 3), Fraction(0)]
     assert primitive_integer_vector(vec) == [1, -2, 0]
@@ -112,7 +142,7 @@ class TestAgainstDenseOracle:
             assert sparse.add(row) == dense.add(row)
             assert sparse.pivots == _dense_pivots(dense)
             for prow in sparse.pivots.values():
-                assert all(type(v) is Fraction and v for v in prow.values())
+                assert all(type(v) in (int, Fraction) and v for v in prow.values())
         assert sparse.nullspace() == dense.nullspace()
 
     @settings(max_examples=300)
@@ -124,7 +154,7 @@ class TestAgainstDenseOracle:
         got = solve(rows, rhs)
         assert got == expected
         if got is not None:
-            assert all(type(x) is Fraction for x in got)
+            assert all(type(x) in (int, Fraction) for x in got)
 
     @settings(max_examples=100)
     @given(matrices(), st.data())
