@@ -16,7 +16,7 @@ from freegp.identities import jacobian_space
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=5)
+    parser.add_argument("--max-n", type=int, default=6)
     args = parser.parse_args()
     status = 0
     for n in range(2, args.max_n + 1):

@@ -41,7 +41,9 @@ from .realize import Realization, evaluate_gp, identity_witness_search
 # random witness polynomial has O(m^2) terms over 2m variables.
 MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
-# `jacobian-space --n`: the basis has (2n-3)!! words; n=6 takes seconds.
+# `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
+# 2-vCPU VM n=5 takes about 0.02 s, n=6 about 0.4 s and n=7 (10,395
+# words) about 40 s and 140 MB, too long for one command.
 MAX_JACOBIAN_N = 6
 # `lie-test` word length: the test splits each word of length d in 2^d
 # ways, and a bracket of d letters expands to 2^(d-1) words, so degree 9

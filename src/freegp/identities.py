@@ -36,6 +36,7 @@ from .ac import (
     _accumulate,
     _coefficient,
     ac_bracket,
+    bracket_normal,
     enumerate_polylinear_basis,
     i_normal_form,
 )
@@ -172,31 +173,82 @@ def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
     return acc
 
 
-def jacobian_space(n: int) -> list[ACPoly]:
-    """Basis of the polylinear elements on x1..xn that are Jacobian.
+def _relabel(
+    w: Word, images: Mapping[Variable, Variable], memo: dict[Word, tuple[int, Word]]
+) -> tuple[int, Word]:
+    """(sign, normal word) of the polylinear normal word `w` with each
+    leaf v in `images` renamed to images[v].
 
-    Solves the exact linear system "D(w, xi, xi, x_{n+1}) vanishes for
-    each xi" over the basis of polylinear normal words w.  The
-    dimension is 1 for n = 2 and n = 3 and 0 beyond.
+    A renaming that keeps the word polylinear never brackets a word with
+    itself, so each node is one `bracket_normal` of its renamed sides.
+    `memo` keeps the result per subword, which basis words share, and a
+    subword without a renamed leaf is kept as it is.  (`memo` is an
+    argument because a recursive closure over it is a reference cycle:
+    each memo would live until a full garbage collection.)
+    """
+    if images.keys().isdisjoint(w.varset):
+        return 1, w
+    got = memo.get(w)
+    if got is None:
+        if w.is_leaf:
+            got = (1, Word.leaf(images[w.var]))
+        else:
+            sl, ul = _relabel(w.left, images, memo)
+            sr, ur = _relabel(w.right, images, memo)
+            s, u = bracket_normal(ul, ur)
+            got = (sl * sr * s, u)
+        memo[w] = got
+    return got
+
+
+def _jacobian_reducer(n: int) -> tuple[list[Word], RowReducer]:
+    """The polylinear basis on x1..xn and the row reduction of the system
+    "D(w, xi, xi, x_{n+1}) vanishes for each xi" over it.
+
+    Only the rows of x1 are computed.  Relabeling by the transposition
+    (x1 xi), which fixes z = x_{n+1}, is an automorphism sending
+    D(f, x1, x1, z) to D(f', xi, xi, z) for the relabeled f'.  It sends
+    basis word k to +-word j and, being an involution, word j back to
+    the same multiple of word k; so the row space of xi is that of x1
+    with column k moved to j and scaled by the sign.
     """
     if n < 2:
         raise ValueError("need at least two variables")
     xs = [Variable("x", i) for i in range(1, n + 1)]
-    z = Word.leaf(Variable("x", n + 1))
+    x1, z = xs[0], Word.leaf(Variable("x", n + 1))
     words = enumerate_polylinear_basis(xs)
+    index = {w: j for j, w in enumerate(words)}
+    rows: dict[Monomial, dict[int, Coefficient]] = {}
+    for j, w in enumerate(words):
+        for m, c in _factor_difference(w, x1, Word.leaf(x1), z).items():
+            rows.setdefault(m, {})[j] = c
+    x1_rows = [rows[m] for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono))]
     reducer = RowReducer(len(words))
     for xi in xs:
-        rows: dict[Monomial, list[Coefficient]] = {}
-        for j, w in enumerate(words):
-            for m, c in _factor_difference(w, xi, Word.leaf(xi), z).items():
-                row = rows.get(m)
-                if row is None:
-                    row = rows[m] = [0] * len(words)
-                row[j] = c
-        for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono)):
-            reducer.add(rows[m])
+        images = {x1: xi, xi: x1} if xi != x1 else {}
+        memo: dict[Word, tuple[int, Word]] = {}
+        moved = [(index[u], s) for s, u in (_relabel(w, images, memo) for w in words)]
+        for sparse in x1_rows:
+            row = [0] * len(words)
+            for k, c in sparse.items():
+                j, s = moved[k]
+                row[j] = s * c
+            reducer.add(row)
             if reducer.rank == len(words):
-                return []
+                return words, reducer
+    return words, reducer
+
+
+def jacobian_space(n: int) -> list[ACPoly]:
+    """Basis of the polylinear elements on x1..xn that are Jacobian.
+
+    Solves the exact linear system "D(w, xi, xi, x_{n+1}) vanishes for
+    each xi" over the basis of polylinear normal words w.  The rows of
+    x1 are built once and each other variable's rows are their
+    relabeling by a transposition (`_jacobian_reducer`).  The dimension
+    is 1 for n = 2 and n = 3 and 0 beyond.
+    """
+    words, reducer = _jacobian_reducer(n)
     basis = []
     for vec in reducer.nullspace():
         vec = primitive_integer_vector(vec)

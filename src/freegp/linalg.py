@@ -3,20 +3,23 @@
 One sparse row-reduction engine with deterministic pivoting (leftmost
 nonzero column, rows in arrival order), incremental rank tracking,
 nullspace bases and linear solves.  Rows come in dense, as sequences of
-numbers; only their nonzero entries are stored, each basis row a dict
-from column to nonzero value.  Entries are integer-first like the
-`Linear` types: each is normalized once on entry (`int` when integral,
-else `Fraction`, so a `float` is read exactly) and the arithmetic runs
-without re-normalizing, so integer rows eliminated with unit pivots
-stay `int`.  The basis is kept in reduced row-echelon form, which is
-unique for a row space, so the rank after each row, the nullspace
-vectors and the solutions do not depend on how the elimination is
-organized.
+numbers of any mix of types; one `itertools.compress` pass over the
+column indices picks out the nonzero cells, testing each cell's truth
+in C (only a `Fraction` cell costs a Python `__bool__` call), and only
+those entries are stored, each basis row a dict from column to nonzero
+value.  Entries are integer-first like the `Linear` types: each is
+normalized once on entry (`int` when integral, else `Fraction`, so a
+`float` is read exactly) and the arithmetic runs without
+re-normalizing, so integer rows eliminated with unit pivots stay `int`.
+The basis is kept in reduced row-echelon form, which is unique for a
+row space, so the rank after each row, the nullspace vectors and the
+solutions do not depend on how the elimination is organized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
@@ -31,6 +34,9 @@ class RowReducer:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
+        # compress() over a tuple reuses its ints; a range would allocate
+        # every column index above 256 again for each row
+        self._columns = tuple(range(ncols))
         self.pivots: dict[int, dict[int, Coefficient]] = {}  # pivot column -> nonzeros
 
     @property
@@ -41,14 +47,10 @@ class RowReducer:
         """Reduce `row` against the basis; returns True if rank grew."""
         if len(row) != self.ncols:
             raise ValueError("row length mismatch")
-        # Dense rows usually repeat one zero object; skipping it by identity
-        # saves a `__bool__` call per cell.
-        zero = next((x for x in row if not x), None)
-        work = {
-            j: x if type(x) is int else _coefficient(x)
-            for j, x in enumerate(row)
-            if x is not zero and x
-        }
+        work = {}
+        for j in compress(self._columns, row):  # the nonzero cells
+            x = row[j]
+            work[j] = x if type(x) is int else _coefficient(x)
         pivots = self.pivots
         # Subtracting a basis row changes no other pivot column (the basis
         # is reduced), so one pass over the row's pivot entries clears them.

@@ -6,19 +6,29 @@ from typing import Mapping, Sequence
 import hypothesis.strategies as st
 from hypothesis import assume
 
-from freegp.ac import ACPoly, Linear, Variable, Word, _accumulate, normalize_word
+from freegp.ac import (
+    ACPoly,
+    Coefficient,
+    Linear,
+    Variable,
+    Word,
+    _accumulate,
+    enumerate_polylinear_basis,
+    normalize_word,
+)
 from freegp.assoc import AssocPoly
-from freegp.gp import GPPoly, substitute
+from freegp.gp import GPPoly, Monomial, substitute
 from freegp.identities import (
     ProductDecomposition,
     ReductionStep,
     _block_element,
+    _factor_difference,
     _partitions_23,
     _require_linear,
     farkas_height,
     is_jacobian,
 )
-from freegp.linalg import solve
+from freegp.linalg import RowReducer, primitive_integer_vector, solve
 from freegp.parsing import parse, to_ac, to_gp
 
 J3_TEXT = "{{x1,x2},x3} + {{x2,x3},x1} + {{x3,x1},x2}"
@@ -131,6 +141,42 @@ def two_pass_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
         steps.append(ReductionStep(failing, z, before, farkas_height(g).total))
 
 
+# ---------------------------------------------------------------- classification oracle
+
+
+def per_variable_jacobian_space(n: int) -> tuple[list[ACPoly], RowReducer]:
+    """Test oracle for `freegp.identities.jacobian_space`: the rows of
+    every variable built from scratch with `_factor_difference`.  Also
+    returns the row reduction, to compare with `_jacobian_reducer`."""
+    if n < 2:
+        raise ValueError("need at least two variables")
+    xs = [Variable("x", i) for i in range(1, n + 1)]
+    z = Word.leaf(Variable("x", n + 1))
+    words = enumerate_polylinear_basis(xs)
+    reducer = RowReducer(len(words))
+    for xi in xs:
+        rows: dict[Monomial, list[Coefficient]] = {}
+        for j, w in enumerate(words):
+            for m, c in _factor_difference(w, xi, Word.leaf(xi), z).items():
+                row = rows.get(m)
+                if row is None:
+                    row = rows[m] = [0] * len(words)
+                row[j] = c
+        for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono)):
+            reducer.add(rows[m])
+            if reducer.rank == len(words):
+                return [], reducer
+    basis = []
+    for vec in reducer.nullspace():
+        vec = primitive_integer_vector(vec)
+        acc: dict[Word, Coefficient] = {}
+        for j, c in enumerate(vec):
+            if c:
+                acc[words[j]] = c
+        basis.append(ACPoly(acc))
+    return basis, reducer
+
+
 # ---------------------------------------------------------------- decomposition oracle
 
 
@@ -156,8 +202,7 @@ def solve_product_decompose(f: GPPoly) -> ProductDecomposition:
         {m for g in spanning for m in g._terms} | set(f._terms),
         key=lambda mono: tuple(w.key for w in mono),
     )
-    # Fill the matrix from the nonzeros; every other cell is the one
-    # shared 0, which `RowReducer.add` skips by identity.
+    # Fill the matrix from the nonzeros; every other cell stays 0.
     index = {m: r for r, m in enumerate(monomials)}
     rows = [[0] * len(spanning) for _ in monomials]
     for j, g in enumerate(spanning):

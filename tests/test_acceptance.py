@@ -50,8 +50,8 @@ def _report(name):
 
 def test_c01_jacobian_classification():
     start = time.perf_counter()
-    dims = {n: jacobian_space(n) for n in (2, 3, 4, 5)}
-    assert [len(dims[n]) for n in (2, 3, 4, 5)] == [1, 1, 0, 0]
+    dims = {n: jacobian_space(n) for n in (2, 3, 4, 5, 6)}
+    assert [len(dims[n]) for n in (2, 3, 4, 5, 6)] == [1, 1, 0, 0, 0]
     [c2_basis] = dims[2]
     assert c2_basis == acp("{x1,x2}")
     [j3_basis] = dims[3]
@@ -60,7 +60,7 @@ def test_c01_jacobian_classification():
     assert j3_basis.words() == j3.words() and len(ratios) == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    _report(f"C1 jacobian classification dims 1,1,0,0 in {elapsed:.1f}s")
+    _report(f"C1 jacobian classification dims 1,1,0,0,0 in {elapsed:.1f}s")
 
 
 def test_c02_alternating_sums_and_exterior_images():

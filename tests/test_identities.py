@@ -13,6 +13,8 @@ import hypothesis.strategies as st
 from freegp.ac import (
     ACPoly,
     Variable,
+    Word,
+    _normal_form,
     enumerate_polylinear_basis,
     flip,
     height,
@@ -24,7 +26,9 @@ from freegp.gp import GPPoly, substitute
 from freegp.identities import (
     _block_element,
     _factor_difference,
+    _jacobian_reducer,
     _partitions_23,
+    _relabel,
     derivation_difference,
     farkas_height,
     is_derivation_in,
@@ -48,6 +52,7 @@ from helpers import (
     gp,
     left_normed,
     linear_gp_polys,
+    per_variable_jacobian_space,
     polylinear_gp_polys,
     solve_product_decompose,
     substitution_derivation_difference,
@@ -248,9 +253,44 @@ class TestJacobianSpace:
         with pytest.raises(ValueError, match="two"):
             jacobian_space(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_relabeled_rows_match_per_variable_rows(self, n):
+        basis, oracle = per_variable_jacobian_space(n)
+        assert jacobian_space(n) == basis
+        words, reducer = _jacobian_reducer(n)
+        assert words == enumerate_polylinear_basis(xvars(n))
+        assert reducer.pivots == oracle.pivots
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_relabel_is_the_normal_form_of_the_renamed_word(self, data):
+        n = data.draw(st.integers(2, 7))
+        xs = xvars(n)
+        a, b = data.draw(st.lists(st.sampled_from(xs), min_size=2, max_size=2))
+        images = {a: b, b: a}
+        memo = {}  # shared by several words, as by the basis words
+        for _ in range(data.draw(st.integers(1, 4))):
+            w = _normal_form(random_tree(data.draw(st.permutations(xs)), data))[1]
+            assert _relabel(w, images, memo) == _normal_form(renamed(w, images))
+
     def test_jacobiator_helper_matches_text(self):
         a, b, c = (ACPoly.generator(V(f"x{i}")) for i in (1, 2, 3))
         assert GPPoly.from_ac(jacobiator(a, b, c)) == gp(J3_TEXT)
+
+
+def random_tree(letters, data) -> Word:
+    """A raw word on `letters`, each once, of a drawn bracketing."""
+    if len(letters) == 1:
+        return Word.leaf(letters[0])
+    k = data.draw(st.integers(1, len(letters) - 1))
+    return Word.node(random_tree(letters[:k], data), random_tree(letters[k:], data))
+
+
+def renamed(w: Word, images) -> Word:
+    """The raw word `w` with each leaf v replaced by images.get(v, v)."""
+    if w.is_leaf:
+        return Word.leaf(images.get(w.var, w.var))
+    return Word.node(renamed(w.left, images), renamed(w.right, images))
 
 
 class TestLinearize:

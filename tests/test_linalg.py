@@ -172,3 +172,53 @@ class TestAgainstDenseOracle:
                 red.add([Fraction(1), Fraction(0)])
         with pytest.raises(ValueError):
             solve([[1, 2], [1]], [0, 0])
+
+
+# ------------------------------------------------- the dense-row scan on mixed cell types
+
+ZEROS = [0, Fraction(0), 0.0]
+# nonzeros of each type; the floats are binary fractions, read exactly
+mixed_nonzeros = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from(_VALUES).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(-12, 12).filter(bool).map(lambda k: k / 4),
+)
+mixed_cells = st.one_of(st.sampled_from(ZEROS), st.sampled_from(ZEROS), mixed_nonzeros)
+integral_cells = st.one_of(
+    st.sampled_from(ZEROS),
+    st.integers(-3, 3).flatmap(lambda k: st.sampled_from([k, Fraction(k), float(k)])),
+)
+
+
+def cell_matrices(cells):
+    """Up to 8 rows of one width (1 to 8) drawn from `cells`."""
+    return st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+
+
+def _typed(pivots) -> dict:
+    return {p: {j: (type(v), v) for j, v in row.items()} for p, row in pivots.items()}
+
+
+class TestDenseRowScan:
+    @settings(max_examples=300)
+    @given(cell_matrices(mixed_cells))
+    def test_mixed_zero_and_nonzero_types_match_dense_oracle(self, rows):
+        ncols = len(rows[0])
+        sparse, dense = RowReducer(ncols), DenseRowReducer(ncols)
+        for row in rows:
+            assert sparse.add(row) == dense.add(row)
+            assert sparse.pivots == _dense_pivots(dense)
+        assert sparse.nullspace() == dense.nullspace()
+
+    @settings(max_examples=300)
+    @given(cell_matrices(integral_cells))
+    def test_integral_entries_are_stored_as_int(self, rows):
+        # the same rows with every cell an `int` reduce to the same pivots,
+        # entry types included: an integral cell enters as an `int`
+        ncols = len(rows[0])
+        mixed, ints = RowReducer(ncols), RowReducer(ncols)
+        for row in rows:
+            assert mixed.add(row) == ints.add([int(x) for x in row])
+            assert _typed(mixed.pivots) == _typed(ints.pivots)
