@@ -76,7 +76,7 @@ _VALUE_OPTIONS = frozenset({"--seed", "--n", "--var", "--model", "--assign", "--
 
 POLARIZATION_NOTE = (
     "linearize keeps the multilinear component without dividing by d!; "
-    "fresh copies take the next unused indices of the same letter class"
+    "fresh copies take the indices above every index in the input, of any letter"
 )
 
 
@@ -188,7 +188,8 @@ def _cmd_jacobian(args):
     _check_bound("variables", len(f.variables()), MAX_JACOBIAN_VARIABLES)
     if is_polylinear(f):  # otherwise `is_jacobian` refuses it unexpanded
         _check_bound("terms", _difference_size(f), MAX_JACOBIAN_TERMS)
-    return {"jacobian": is_jacobian(f)}, None
+    ok = is_jacobian(f)
+    return {"jacobian": ok}, [f"jacobian: {str(ok).lower()}"]
 
 
 def _cmd_jacobian_space(args):
@@ -277,7 +278,8 @@ def _cmd_lie_test(args):
     expr = parse(args.expr)
     _check_bound("degree", _degree(expr), MAX_LIE_DEGREE)
     _check_bound("words", _expansion_size(expr), MAX_LIE_WORDS)
-    return {"lie": is_lie_element(to_assoc(expr))}, None
+    ok = is_lie_element(to_assoc(expr))
+    return {"lie": ok}, [f"lie: {str(ok).lower()}"]
 
 
 def _parse_assignments(pairs, realization):
@@ -354,9 +356,7 @@ def _emit(command: str, status: str, result, seed, as_json: bool, human=None) ->
     if status == "error":
         print(result, file=sys.stderr)
         return
-    if human is None:
-        human = [result if isinstance(result, str) else json.dumps(result)]
-    for line in human:
+    for line in [result] if human is None else human:
         print(line)
 
 

@@ -8,7 +8,8 @@ bracket pair {x1,x2} in two variables and the bracket jacobiator in
 three, and nothing in higher arity.  The module also provides the
 supporting machinery: multiplication operators, linearization by
 polarization, bracket-factor heights, the height-reducing derivation
-difference, and decomposition into products of the two basic shapes.
+difference, and decomposition into products of the two basic shapes,
+read off the partition of the support that each monomial names.
 
 The derivation difference never substitutes into the whole element.
 Only the factor holding x changes, and as a signed operator chain
@@ -23,7 +24,6 @@ decides derivations and is the next element of a height reduction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -266,7 +266,8 @@ def linearize(f: GPPoly) -> GPPoly:
 
     The multilinear component is not divided by d!, which does not
     affect which algebras satisfy the identity in characteristic zero.
-    Fresh copies take the next unused indices of the same letter class.
+    Fresh copies keep the letter of their variable and take the indices
+    above every index in f, of any letter: t1*t1*x5 gives 2*t1*t6*x5.
     Requires f to be degree-homogeneous in each of its variables.
     """
     degrees: dict[Variable, int] = {}
@@ -389,21 +390,6 @@ def jacobian_reduce(f: GPPoly) -> GPPoly:
     return jacobian_reduce_trace(f)[0]
 
 
-def _partitions_23(items: Sequence[Variable]):
-    """Set partitions into blocks of size 2 and 3, each block sorted."""
-    items = tuple(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for size in (2, 3):
-        for partners in itertools.combinations(rest, size - 1):
-            block = (first, *partners)
-            remaining = tuple(v for v in rest if v not in partners)
-            for tail in _partitions_23(remaining):
-                yield (block, *tail)
-
-
 def _block_element(block: tuple[Variable, ...]) -> ACPoly:
     gens = [ACPoly.generator(v) for v in block]
     if len(block) == 2:
@@ -428,32 +414,30 @@ class ProductDecomposition:
 def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
     """Exact coefficients of f over products of pair brackets and
     three-variable jacobiators, one product per 2/3-partition of the
-    support.  Fails when the support size is not a sum of 2s and 3s or
-    f is not in the span.
+    support.  Fails when f is not in their span.
 
-    A monomial of a product names its partition (the variable sets of
-    its factors), so f's monomials group by partition and each group
-    must be one multiple of that partition's product."""
+    A monomial of a product names its partition (its factors' variable
+    sets are the blocks), so the monomials of f are grouped by the
+    partition they name and each group must be one multiple of that
+    partition's product; no other partition is visited.  Blocks are
+    sorted by least variable, and `blocks` lists pairs before triples,
+    block by block from the least variable."""
     if not is_jacobian(f):
         raise ValueError("input is not Jacobian")
-    vs = sorted(f.variables())
-    partitions = list(_partitions_23(vs))
-    if not partitions:
-        return ProductDecomposition(
-            False, (), (), f"support size {len(vs)} is not a sum of 2s and 3s"
-        )
     not_spanned = ProductDecomposition(
         False, (), (), "not in the span of pair/triple bracket products"
     )
-    groups: dict[frozenset, dict[Monomial, Coefficient]] = {}
+    # f is polylinear: the blocks of each monomial partition the support
+    groups: dict[tuple[tuple[Variable, ...], ...], dict[Monomial, Coefficient]] = {}
     for m, c in f._terms.items():
-        groups.setdefault(frozenset(tuple(sorted(w.varset)) for w in m), {})[m] = c
+        part = tuple(sorted(tuple(sorted(w.varset)) for w in m))
+        if any(len(block) not in (2, 3) for block in part):
+            return not_spanned
+        groups.setdefault(part, {})[m] = c
     terms = []
     blocks = []
-    for part in partitions:
-        group = groups.pop(frozenset(part), None)
-        if group is None:
-            continue
+    for part in sorted(groups, key=lambda p: [(len(b), b) for b in p]):
+        group = groups[part]
         g = GPPoly.one()
         for block in part:
             g = g * GPPoly.from_ac(_block_element(block))
@@ -466,6 +450,4 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
             return not_spanned
         terms.append((c, g))
         blocks.append(part)
-    if groups:  # monomials that name no 2/3-partition of the support
-        return not_spanned
     return ProductDecomposition(True, tuple(terms), tuple(blocks))

@@ -91,17 +91,18 @@ def _tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII only: str.isdigit and str.isalpha accept other scripts
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("NUM", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise ParseError(

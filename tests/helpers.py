@@ -1,5 +1,6 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
+import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -23,7 +24,6 @@ from freegp.identities import (
     ReductionStep,
     _block_element,
     _factor_difference,
-    _partitions_23,
     _require_linear,
     farkas_height,
     is_jacobian,
@@ -178,6 +178,21 @@ def per_variable_jacobian_space(n: int) -> tuple[list[ACPoly], RowReducer]:
 
 
 # ---------------------------------------------------------------- decomposition oracle
+
+
+def _partitions_23(items: Sequence[Variable]):
+    """Set partitions into blocks of size 2 and 3, each block sorted."""
+    items = tuple(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for size in (2, 3):
+        for partners in itertools.combinations(rest, size - 1):
+            block = (first, *partners)
+            remaining = tuple(v for v in rest if v not in partners)
+            for tail in _partitions_23(remaining):
+                yield (block, *tail)
 
 
 def solve_product_decompose(f: GPPoly) -> ProductDecomposition:

@@ -24,6 +24,7 @@ from freegp.cli import (
     _VALUE_OPTIONS,
     _difference_size,
     build_parser,
+    entry,
     main,
 )
 from freegp.parsing import MAX_DEPTH, parse, to_gp
@@ -60,6 +61,12 @@ class TestBasicCommands:
         code, doc = run_json(capsys, "jacobian", "{x1,x2}*{x3,x4}")
         assert code == 0 and doc["result"] == {"jacobian": True}
 
+    def test_jacobian_and_lie_test_human_output(self, capsys):
+        assert run(capsys, "jacobian", "{x1,x2}*{x3,x4}") == (0, "jacobian: true\n", "")
+        assert run(capsys, "jacobian", "{x1,{x2,x3}}") == (0, "jacobian: false\n", "")
+        assert run(capsys, "lie-test", "u1*u2 - u2*u1") == (0, "lie: true\n", "")
+        assert run(capsys, "lie-test", "u1*u2") == (0, "lie: false\n", "")
+
     def test_flip(self, capsys):
         code, out, _ = run(capsys, "flip", "--var", "x3", "{x1,{x2,x3}}")
         assert code == 0 and out.strip() == "-{x2,{x1,x3}}"
@@ -67,6 +74,11 @@ class TestBasicCommands:
     def test_linearize(self, capsys):
         code, out, _ = run(capsys, "linearize", "{x1,x2}*x1")
         assert code == 0 and out.strip() == "-x1*{x2,x3} + x3*{x1,x2}"
+
+    def test_linearize_copies_take_indices_above_every_letter(self, capsys):
+        # the copy of t1 is t6, past x5, not t2
+        code, out, _ = run(capsys, "linearize", "t1*t1*x5")
+        assert code == 0 and out.strip() == "2*t1*t6*x5"
 
     def test_reduce(self, capsys):
         code, doc = run_json(capsys, "reduce", "{x1,{x2,x3}}")
@@ -116,6 +128,23 @@ class TestBasicCommands:
         code, doc = run_json(capsys, "witness", "--model", "poisson", "--m", "2",
                              "--budget", "5", j3)
         assert code == 0 and doc["result"]["found"] is False
+
+
+class TestConsoleScript:
+    """`entry`, the `[project.scripts]` target, reads `sys.argv` and exits
+    with `main`'s code."""
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["normalize", "{x2,x1}"], 0, "-{x1,x2}\n", ""),
+        (["normalize", "{x1,x2"], 2, "", "1:7: unexpected end of input (expected })\n"),
+        (["height", "--var", "x9", "{x1,x2}"], 1, "", "variable not present\n"),
+    ])
+    def test_entry(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setattr(sys, "argv", ["freegp", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestJsonSchema:
@@ -389,6 +418,12 @@ class TestErrorPaths:
         assert code == 1
         assert doc["status"] == "error"
         assert doc["result"] == "variable not present"
+
+    @pytest.mark.parametrize("expr", ["\u0663*x1", "x\u00b2", "\u03b11", "x\u0661", "\u00b2"])
+    def test_non_ascii_input_is_a_parse_error(self, capsys, expr):
+        code, doc = run_json(capsys, "normalize", expr)
+        assert code == 2 and doc["status"] == "error"
+        assert doc["result"].startswith("1:1: ")
 
     def test_human_errors_go_to_stderr(self, capsys):
         code, out, err = run(capsys, "normalize", "{x1,x2")

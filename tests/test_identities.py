@@ -27,7 +27,6 @@ from freegp.identities import (
     _block_element,
     _factor_difference,
     _jacobian_reducer,
-    _partitions_23,
     _relabel,
     derivation_difference,
     farkas_height,
@@ -47,6 +46,7 @@ import helpers
 from helpers import (
     J3_TEXT,
     V,
+    _partitions_23,
     acp,
     coefficients,
     gp,
@@ -419,12 +419,13 @@ class TestProductDecompose:
             assert d.ok and d.reconstruct() == f
 
     def test_unpartitionable_support(self):
-        # a single variable cannot be covered by blocks of 2 and 3; no
-        # Jacobian input has support 1, so check the partition layer
-        from freegp.identities import _partitions_23
-
+        # a single variable cannot be covered by blocks of 2 and 3, and a
+        # one-variable element is never Jacobian, so the decomposition has
+        # no unpartitionable support to report
         assert list(_partitions_23((V("x1"),))) == []
         assert list(_partitions_23(())) == [()]
+        with pytest.raises(ValueError, match="not Jacobian"):
+            jacobian_product_decompose(gp("x1"))
 
     def test_constant_decomposes_over_empty_partition(self):
         d = jacobian_product_decompose(GPPoly.constant(5))
@@ -433,6 +434,45 @@ class TestProductDecompose:
     def test_rejects_non_jacobian(self):
         with pytest.raises(ValueError, match="not Jacobian"):
             jacobian_product_decompose(gp("{x1,{x2,x3}}"))
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # eight pair brackets
+            [[(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14), (15, 16)]],
+            # 2+2+3+3+3+3
+            [[(1, 2), (3, 4), (5, 6, 7), (8, 9, 10), (11, 12, 13), (14, 15, 16)]],
+            # a sum of two such products with different partitions, listed
+            # in the documented order
+            [
+                [(1, 2), (3, 4), (5, 6, 7), (8, 9, 10), (11, 12, 13), (14, 15, 16)],
+                [(1, 5), (2, 9), (3, 4, 16), (6, 7, 8), (10, 11, 15), (12, 13, 14)],
+            ],
+        ],
+        ids=["pairs", "2+2+3+3+3+3", "two-partitions"],
+    )
+    def test_sixteen_variables(self, parts):
+        # the `jacobian` command's variable bound; 2/3-partitions of 16
+        # variables number in the hundreds of millions, and only the named
+        # ones are built
+        blocks = [tuple(tuple(V(f"x{i}") for i in b) for b in part) for part in parts]
+        f = GPPoly.zero()
+        for c, part in zip((3, Fraction(-2, 5)), blocks):
+            f = f + c * partition_product(part)
+        start = time.perf_counter()
+        d = jacobian_product_decompose(f)
+        elapsed = time.perf_counter() - start
+        assert d.ok and d.reconstruct() == f
+        assert list(d.blocks) == blocks
+        assert elapsed < 1.0
+
+    def test_reduct_of_the_right_normed_seven_letter_word(self):
+        # at `reduce`'s variable bound the reduct has 12 variables and
+        # 32 products; blocks come pairs first, by least variable
+        g = jacobian_reduce(gp("{x1,{x2,{x3,{x4,{x5,{x6,x7}}}}}}"))
+        d = jacobian_product_decompose(g)
+        assert d.ok and d.reconstruct() == g and len(d.terms) == 32
+        assert list(d.blocks) == sorted(d.blocks, key=lambda p: [(len(b), b) for b in p])
 
     def test_five_variable_mixed_blocks(self):
         f = gp("{x1,x2}") * GPPoly.from_ac(

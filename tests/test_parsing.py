@@ -78,6 +78,20 @@ class TestErrors:
         with pytest.raises(ParseError, match="unexpected character"):
             parse("x1 @ x2")
 
+    @pytest.mark.parametrize("text, column", [
+        ("\u0663*x1", 1),  # Arabic-Indic three
+        ("x\u00b2", 1),  # superscript two after a letter
+        ("\u03b11", 1),  # Greek alpha
+        ("x\u0661", 1),  # Arabic-Indic one after a letter
+        ("\u00b2", 1),
+        ("x1 + x\u0662", 6),
+    ])
+    def test_non_ascii_digits_and_letters_rejected(self, text, column):
+        # the grammar's letters and digits are ASCII, as in `Variable.parse`
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_zero_denominator(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse("1/0*x1")
