@@ -69,6 +69,8 @@ class Variable:
         m = _VAR_RE.match(name)
         if m is None:
             raise ValueError(f"bad variable name {name!r}: expected a letter followed by digits")
+        if m.group(2)[0] == "0" and len(m.group(2)) > 1:  # x01 would print as x1
+            raise ValueError(f"bad variable name {name!r}: leading zero in its index")
         return cls(m.group(1), int(m.group(2)))
 
     @property

@@ -41,6 +41,16 @@ from .realize import Realization, evaluate_gp, identity_witness_search
 # random witness polynomial has O(m^2) terms over 2m variables.
 MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
+# Term pairs of one random `witness` attempt (`realize._attempt_size`),
+# checked on the parsed element after the structured attempt, which
+# costs little, and before any random one.  The slowest admitted shapes
+# found take about 1.7 s per command on a shared 2-vCPU VM, printing
+# included: {t1,{t2,t3}}*{t4,{t5,t6}}*{t7,{t8,t9}} + t1*t1 at m=8 under
+# poisson (not polylinear, so no structured attempt) and, at 1.3 s, the
+# 4-letter right-normed word at m=10 under gps.  The 6-letter
+# right-normed word at m=12 under gps scores 90.8 million and is
+# refused; J3 at m=12 scores 0.75 million.
+MAX_WITNESS_TERM_PAIRS = 1_000_000
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
 # 2-vCPU VM n=5 takes about 0.02 s, n=6 about 0.4 s and n=7 (10,395
 # words) about 40 s and 140 MB, too long for one command.
@@ -314,20 +324,24 @@ def _cmd_witness(args):
     realization = Realization(args.model, args.m)
     seed = args.seed if args.seed is not None else 0
     witness = identity_witness_search(
-        to_gp(parse(args.expr)), realization, budget=args.budget, seed=seed
+        to_gp(parse(args.expr)), realization, budget=args.budget, seed=seed,
+        max_term_pairs=MAX_WITNESS_TERM_PAIRS,
     )
     if witness is None:
         return {"found": False, "attempts": args.budget}, ["not found"]
+    # each polynomial is printed once, for both forms of the output
+    assignment = {v.name: repr(r) for v, r in sorted(witness.assignment.items())}
+    value = repr(witness.value)
     payload = {
         "found": True,
         "method": witness.method,
         "attempts": witness.attempts,
-        "assignment": {v.name: repr(r) for v, r in sorted(witness.assignment.items())},
-        "value": repr(witness.value),
+        "assignment": assignment,
+        "value": value,
     }
     human = [f"found ({witness.method})"] + [
-        f"{v.name} = {r!r}" for v, r in sorted(witness.assignment.items())
-    ] + [f"value = {witness.value!r}"]
+        f"{name} = {text}" for name, text in assignment.items()
+    ] + [f"value = {value}"]
     return payload, human
 
 

@@ -3,7 +3,7 @@
     expr     := ['+'|'-'] term (('+'|'-') term)*
     term     := rational ('*' factor)* | factor ('*' factor)*
     factor   := VAR | '{' expr ',' expr '}' | '(' expr ')'
-    VAR      := letter digits            (x1, t3, y12)
+    VAR      := letter digits            (x1, t3, y12; no leading zero: x0, not x01)
     rational := integer ['/' integer]
 
 Multiplication is always written '*'; juxtaposition is a syntax error
@@ -107,6 +107,10 @@ def _tokenize(text: str) -> list[Token]:
             if j == i + 1:
                 raise ParseError(
                     f"variable {ch!r} needs a numeric index", line, col, ("digits",)
+                )
+            if text[i + 1] == "0" and j > i + 2:
+                raise ParseError(
+                    f"variable {text[i:j]!r} has a leading zero in its index", line, col + 1
                 )
             tokens.append(Token("VAR", text[i:j], line, col))
             col += j - i

@@ -16,8 +16,9 @@ Rational functions keep numerator and denominator unreduced; equality
 and zero tests go through numerator cross-multiplication, so no
 multivariate gcd is ever needed.  An optional content normalization
 bounds growth and fixes signs for printing.  Realizations compute in
-`MultiPoly`; a `RatFunc` operand takes over any mixed product or sum
-through its reflected operators.
+`MultiPoly`, whose `_pair_bracket` is the realized bracket in one pass
+over the term pairs; a `RatFunc` operand takes over any mixed product or
+sum through its reflected operators.
 """
 
 from __future__ import annotations
@@ -155,6 +156,41 @@ class MultiPoly(Linear):
         out = MultiPoly.one(self.vars)
         for _ in range(n):
             out = out * self
+        return out
+
+    def _pair_bracket(self, other: "MultiPoly", pairs: Sequence[tuple[int, int, int | None]]) -> "MultiPoly":
+        """Sum over the index triples (x, y, t) of `pairs` of
+        v_t * (d_x(self) d_y(other) - d_x(other) d_y(self)), where v_t is
+        variable t, or 1 when t is None.
+
+        One pass over the term pairs: a term pair of exponents e, f adds
+        c1*c2*(e_x*f_y - f_x*e_y) at the monomial key k1 + k2 - unit(x) -
+        unit(y) + unit(t); the zeros are dropped once at the end.  Both
+        polynomials must be over the same variable tuple.
+        """
+        twisted = any(t is not None for _, _, t in pairs)
+        bound = self._bound + other._bound + twisted
+        if bound > MAX_EXPONENT:
+            raise ValueError(f"a bracket exponent could exceed {MAX_EXPONENT}")
+        n = len(self.vars)
+        a, b = self._terms.items(), other._terms.items()
+        acc: dict[int, Coefficient] = {}
+        get = acc.get
+        for x, y, t in pairs:
+            sx, sy = _BITS * (n - 1 - x), _BITS * (n - 1 - y)
+            shift = (0 if t is None else self._unit(t)) - self._unit(x) - self._unit(y)
+            # the twist and both units ride on the d_x keys, so that k1 + k2
+            # is the output key
+            for p, q, sign in ((a, b, 1), (b, a, -1)):
+                dx = [(k + shift, sign * c * e) for k, c in p if (e := k >> sx & _MASK)]
+                if dx:
+                    dy = [(k, c * e) for k, c in q if (e := k >> sy & _MASK)]
+                    for k1, c1 in dx:
+                        for k2, c2 in dy:
+                            acc[k1 + k2] = get(k1 + k2, 0) + c1 * c2
+        out = self._new({k: c for k, c in acc.items() if c})
+        if out._terms:
+            out._bound = bound
         return out
 
     def derivative(self, name: str) -> "MultiPoly":

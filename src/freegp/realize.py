@@ -10,15 +10,22 @@ assignments turn suitable bracket products into nonzero monomials in
 the y variables, certifying non-identities.
 
 Both derivations and the product keep polynomials, so evaluation is in
-the polynomial ring: `MultiPoly` in, `MultiPoly` out.  Rational-function
-inputs (`freegp.ratfunc.RatFunc`) are accepted as well and give a
-`RatFunc` back, through its reflected operators.  `evaluate_gp` is the
+the polynomial ring: `MultiPoly` in, `MultiPoly` out.  The bracket is
+one fused pass over the packed monomials of both operands
+(`MultiPoly._pair_bracket`): for each pair it reads the x_i and y_i
+exponents of every term pair and accumulates the whole sum into one
+dict, with no derivative polynomials or partial sums.  A realization
+supplies only the variable indices of its pairs and twists.
+Rational-function inputs (`freegp.ratfunc.RatFunc`) are accepted as well
+and give a `RatFunc` back: {p/q, r/s} reduces to four polynomial
+brackets by the quotient rule of a biderivation.  `evaluate_gp` is the
 GP homomorphism fold of `freegp.gp` with the realized bracket.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +33,7 @@ from typing import Mapping
 
 from .ac import Variable
 from .gp import GPPoly, _homomorphism, _monomial_key, is_polylinear
-from .ratfunc import MultiPoly
+from .ratfunc import MultiPoly, RatFunc
 
 __all__ = [
     "Realization",
@@ -66,26 +73,44 @@ class Realization:
     def constant(self, c) -> MultiPoly:
         return MultiPoly.constant(self.var_names, c)
 
-    def first_derivation(self, a: MultiPoly, i: int) -> MultiPoly:
-        """d/dx_i for poisson; y_{i+1 mod n} * d/dx_i for gps."""
-        d = a.derivative(f"x{i}")
-        if self.kind == "poisson":
-            return d
-        j = i + 1 if i < self.n else 1
-        return self.variable(f"y{j}") * d
-
-    def second_derivation(self, a: MultiPoly, i: int) -> MultiPoly:
-        return a.derivative(f"y{i}")
-
-
-def realized_bracket(a: MultiPoly, b: MultiPoly, realization: Realization) -> MultiPoly:
-    total = MultiPoly.zero(realization.var_names)
-    for i in range(1, realization.n + 1):
-        total = total + (
-            realization.first_derivation(a, i) * realization.second_derivation(b, i)
-            - realization.first_derivation(b, i) * realization.second_derivation(a, i)
+    @cached_property
+    def _pairs(self) -> tuple[tuple[int, int, int | None], ...]:
+        """(x_i, y_i, twist) variable indices of each derivation pair; the
+        twist is y_{i+1 mod n} for gps and None for poisson."""
+        twist = self.kind == "gps"
+        return tuple(
+            (2 * i, 2 * i + 1, 2 * ((i + 1) % self.n) + 1 if twist else None)
+            for i in range(self.n)
         )
-    return total
+
+
+def _polynomial_bracket(a: MultiPoly, b: MultiPoly, realization: Realization) -> MultiPoly:
+    names = realization.var_names
+    if a.vars != names or b.vars != names:
+        raise ValueError(f"operands must be polynomials over {', '.join(names)}")
+    return a._pair_bracket(b, realization._pairs)
+
+
+def realized_bracket(
+    a: MultiPoly | RatFunc, b: MultiPoly | RatFunc, realization: Realization
+) -> MultiPoly | RatFunc:
+    """{a,b} = sum_i d_i(a) d'_i(b) - d_i(b) d'_i(a) over the derivation
+    pairs of the realization, in one pass over the term pairs of a and b.
+
+    A `RatFunc` operand {p/q, r/s} reduces to polynomial brackets by the
+    quotient rule of a biderivation:
+    (qs{p,r} - qr{p,s} - ps{q,r} + pr{q,s}) / (q^2 s^2).
+    """
+    if not (isinstance(a, RatFunc) or isinstance(b, RatFunc)):
+        return _polynomial_bracket(a, b, realization)
+    a, b = (f if isinstance(f, RatFunc) else RatFunc(f) for f in (a, b))
+    p, q, r, s = a.num, a.den, b.num, b.den
+
+    def bracket(u, v):
+        return _polynomial_bracket(u, v, realization)
+
+    num = q * s * bracket(p, r) - q * r * bracket(p, s) - p * s * bracket(q, r) + p * r * bracket(q, s)
+    return RatFunc(num, q * q * s * s)
 
 
 def evaluate_gp(
@@ -173,34 +198,78 @@ class Witness:
 
 
 def _random_polynomial(var_names: tuple[str, ...], rng: random.Random) -> MultiPoly:
-    """Dense random polynomial of total degree <= 2, coefficients in -2..2."""
-    nvars = len(var_names)
-    terms: dict[tuple[int, ...], int] = {}
-    exponents = [(0,) * nvars]
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = 1
-        exponents.append(tuple(e))
-    for i, j in itertools.combinations_with_replacement(range(nvars), 2):
-        e = [0] * nvars
-        e[i] += 1
-        e[j] += 1
-        exponents.append(tuple(e))
-    for e in exponents:
+    """Dense random polynomial of total degree <= 2, coefficients in -2..2.
+
+    The coefficients are drawn for the constant, the linear monomials and
+    then the quadratic ones in `combinations_with_replacement` order."""
+    out = MultiPoly.zero(var_names)
+    units = [out._unit(i) for i in range(len(var_names))]
+    keys = [0, *units, *(u + v for u, v in itertools.combinations_with_replacement(units, 2))]
+    for k in keys:
         c = rng.randint(-2, 2)
         if c:
-            terms[e] = c
-    return MultiPoly(var_names, terms)
+            out._terms[k] = c
+    out._bound = 2 if out._terms else 0
+    return out
+
+
+def _attempt_size(f: GPPoly, realization: Realization) -> int:
+    """Term pairs of one random witness attempt on f, whose images are
+    dense polynomials of degree 2 in N = 2m variables (`_random_polynomial`).
+
+    A polynomial of degree d has at most S(d) = C(N + d, d) terms, and
+    S(d - 1) of them hold a given variable.  A bracket of degrees a and b
+    pairs N * S(a - 1) * S(b - 1) terms and has degree a + b - 2, plus 1
+    under gps; each distinct word is evaluated once.  A product of
+    degrees a and b pairs S(a) * S(b) terms, and adding a monomial's
+    value to the running sum copies at most S(top) terms, for the top
+    degree so far.
+    """
+    n = len(realization.var_names)
+    twist = realization.kind == "gps"
+    degrees: dict = {}
+    pairs = 0
+
+    def size(d: int) -> int:
+        return math.comb(n + d, d)
+
+    def degree(w) -> int:
+        nonlocal pairs
+        if w not in degrees:
+            if w.is_leaf:
+                degrees[w] = 2
+            else:
+                a, b = degree(w.left), degree(w.right)
+                pairs += n * size(a - 1) * size(b - 1)
+                degrees[w] = a + b - 2 + twist
+        return degrees[w]
+
+    top = 0
+    for m in f.monomials():
+        d = 0
+        for w in m:
+            dw = degree(w)
+            pairs += size(d) * size(dw)
+            d += dw
+        top = max(top, d)
+        pairs += size(top)
+    return pairs
 
 
 def identity_witness_search(
-    f: GPPoly, realization: Realization, budget: int = 200, seed: int = 0
+    f: GPPoly,
+    realization: Realization,
+    budget: int = 200,
+    seed: int = 0,
+    max_term_pairs: int | None = None,
 ) -> Witness | None:
     """Look for an assignment where f evaluates to something nonzero.
 
     Tries the structured staggered assignment first when it applies,
     then seeded random polynomial assignments of degree <= 2; candidates
-    are evaluated in a fixed order, so results are reproducible.
+    are evaluated in a fixed order, so results are reproducible.  With
+    `max_term_pairs`, raises `ValueError` before the first random attempt
+    when `_attempt_size` of one exceeds it.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -211,6 +280,10 @@ def identity_witness_search(
             value = evaluate_gp(f, assignment, realization)
             if not value.is_zero():
                 return Witness(assignment, value, "structured", 0)
+    if budget and max_term_pairs is not None:
+        size = _attempt_size(f, realization)
+        if size > max_term_pairs:
+            raise ValueError(f"term pairs={size} exceeds the bound {max_term_pairs}")
     rng = random.Random(seed)
     names = realization.var_names
     variables = sorted(f.variables())

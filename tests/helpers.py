@@ -30,6 +30,8 @@ from freegp.identities import (
 )
 from freegp.linalg import RowReducer, primitive_integer_vector, solve
 from freegp.parsing import parse, to_ac, to_gp
+from freegp.ratfunc import MultiPoly
+from freegp.realize import Realization
 
 J3_TEXT = "{{x1,x2},x3} + {{x2,x3},x1} + {{x3,x1},x2}"
 J3_T_TEXT = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
@@ -427,6 +429,35 @@ class TupleMultiPoly(Linear):
             elif k > 1:
                 pieces.append(f"{name}^{k}")
         return "*".join(pieces)
+
+
+# ---------------------------------------------------------------- realization oracle
+
+
+def derivation_pair_bracket(a, b, realization: Realization):
+    """Test oracle for `freegp.realize.realized_bracket`: the per-pair
+    formula it replaced, one derivative polynomial per derivation, one
+    product per pair and one sum per pair.  `RatFunc` operands go through
+    RatFunc's reflected operators."""
+
+    def first_derivation(a, i):
+        """d/dx_i for poisson; y_{i+1 mod n} * d/dx_i for gps."""
+        d = a.derivative(f"x{i}")
+        if realization.kind == "poisson":
+            return d
+        j = i + 1 if i < realization.n else 1
+        return realization.variable(f"y{j}") * d
+
+    def second_derivation(a, i):
+        return a.derivative(f"y{i}")
+
+    total = MultiPoly.zero(realization.var_names)
+    for i in range(1, realization.n + 1):
+        total = total + (
+            first_derivation(a, i) * second_derivation(b, i)
+            - first_derivation(b, i) * second_derivation(a, i)
+        )
+    return total
 
 
 # ---------------------------------------------------------------- strategies

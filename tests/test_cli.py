@@ -21,6 +21,7 @@ from freegp.cli import (
     MAX_LINEARIZE_TERMS,
     MAX_REDUCE_VARIABLES,
     MAX_SIZE,
+    MAX_WITNESS_TERM_PAIRS,
     _VALUE_OPTIONS,
     _difference_size,
     build_parser,
@@ -28,6 +29,7 @@ from freegp.cli import (
     main,
 )
 from freegp.parsing import MAX_DEPTH, parse, to_gp
+from freegp.realize import Realization, _attempt_size
 
 J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
 
@@ -419,6 +421,20 @@ class TestErrorPaths:
         assert doc["status"] == "error"
         assert doc["result"] == "variable not present"
 
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "x01 - x1"),
+        ("flip", "--var", "x01", "{x1,x2}"),
+        ("realize", "--model", "poisson", "--n", "1", "--assign", "t01=x1", "t1"),
+    ], ids=["expression", "var", "assign"])
+    def test_leading_zero_in_an_index_exit_2(self, capsys, argv):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["status"] == "error"
+        assert "leading zero" in doc["result"]
+
+    def test_zero_and_inner_zeros_in_an_index_are_accepted(self, capsys):
+        code, doc = run_json(capsys, "normalize", "x0 + x10 - x100 - x1")
+        assert code == 0 and doc["result"] == "x0 - x1 + x10 - x100"
+
     @pytest.mark.parametrize("expr", ["\u0663*x1", "x\u00b2", "\u03b11", "x\u0661", "\u00b2"])
     def test_non_ascii_input_is_a_parse_error(self, capsys, expr):
         code, doc = run_json(capsys, "normalize", expr)
@@ -500,6 +516,37 @@ class TestErrorPaths:
         assert code == 1 and doc["status"] == "error"
         assert doc["result"] == "n=7 exceeds the configured bound 6"
 
+    DEEP_WORD = "{t1,{t2,{t3,{t4,{t5,t6}}}}}"
+
+    def test_witness_attempt_past_the_bound_exit_1(self, capsys):
+        assert MAX_WITNESS_TERM_PAIRS == 1_000_000
+        code, doc = run_json(capsys, "witness", "--model", "gps", "--m", "12", "--budget", "1", self.DEEP_WORD)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == "term pairs=90762150 exceeds the bound 1000000"
+        code, doc = run_json(capsys, "witness", "--model", "gps", "--m", "4", "--budget", "1", "t1*t2*t3*t4*t5*t6")
+        assert code == 1 and "term pairs=" in doc["result"]
+
+    def test_budget_zero_is_not_bounded_by_the_attempt(self, capsys):
+        # no random attempt runs, and the structured one costs little
+        code, doc = run_json(capsys, "witness", "--model", "gps", "--m", "12", "--budget", "0", self.DEEP_WORD)
+        assert code == 0 and doc["result"] == {"found": False, "attempts": 0}
+
+    @pytest.mark.parametrize("model", ["poisson", "gps"])
+    def test_structured_witness_is_tried_before_the_bound(self, capsys, model):
+        expr = "{t1,t2}*{t3,t4}*{t5,t6}*{t7,t8}"
+        assert _attempt_size(to_gp(parse(expr)), Realization(model, 8)) > MAX_WITNESS_TERM_PAIRS
+        code, doc = run_json(capsys, "witness", "--model", model, "--m", "8", expr)
+        assert code == 0 and doc["result"]["method"] == "structured"
+
+    @pytest.mark.parametrize("model, m, expr", [
+        ("poisson", 2, J3_T),  # the witness shapes of the benchmark's queries
+        ("gps", 4, "{t3,t1}*{t4,t2}"),
+        ("gps", 12, J3_T),
+        ("poisson", 12, "{t1,{t2,{t3,{t4,{t5,{t6,{t7,t8}}}}}}}"),
+    ])
+    def test_witness_attempts_within_the_bound(self, model, m, expr):
+        assert _attempt_size(to_gp(parse(expr)), Realization(model, m)) <= MAX_WITNESS_TERM_PAIRS
+
     @pytest.mark.parametrize("model, expr", [("poisson", J3_T), ("gps", "{t1,t2}")], ids=["poisson", "gps"])
     def test_negative_witness_budget_exit_1(self, capsys, model, expr):
         code, doc = run_json(capsys, "witness", "--model", model, "--m", "2", "--budget", "-5", expr)
@@ -541,6 +588,9 @@ class TestDeterminism:
             ["normalize", "{x3,{x2,x1}} + x2*{x4,x1} - x1*x2"],
             ["jacobian-space", "--n", "3"],
             ["witness", "--m", "4", J3_T],
+            # a random attempt through the realized bracket, and a realization
+            ["witness", "--model", "poisson", "--m", "12", "--budget", "1", "--json", J3_T],
+            ["realize", "--model", "gps", "--n", "2", *TestPinnedOutputs.ASSIGN, TestPinnedOutputs.REALIZE_EXPR],
         ]
         outputs = set()
         for hash_seed in ("0", "1", "2"):

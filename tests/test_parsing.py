@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from freegp.ac import Variable
 from freegp.assoc import AssocPoly, commutator
 from freegp.gp import GPPoly
 from freegp.ratfunc import MultiPoly
@@ -91,6 +92,24 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert (err.value.line, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text, column", [("x01", 2), ("x1 - x01", 7), ("{t1,t007}", 6)])
+    def test_leading_zero_in_an_index_rejected(self, text, column):
+        # x01 and x1 would otherwise name one variable, printed as x1
+        with pytest.raises(ParseError, match="leading zero") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_variable_parse_rejects_a_leading_zero(self):
+        with pytest.raises(ValueError, match="leading zero"):
+            Variable.parse("x01")
+
+    @pytest.mark.parametrize("name, index", [("x0", 0), ("x10", 10), ("x100", 100)])
+    def test_zero_and_inner_zeros_stay_valid(self, name, index):
+        assert Variable.parse(name) == Variable("x", index)
+        assert to_gp(parse(name)) == GPPoly.generator(Variable("x", index))
+        assert repr(to_gp(parse(name))) == name
+        assert not to_gp(parse(f"{name} - x1")).is_zero()
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError, match="zero denominator"):

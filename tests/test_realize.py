@@ -9,16 +9,18 @@ import hypothesis.strategies as st
 
 from freegp.ac import Variable
 from freegp.gp import GPPoly, substitute
-from freegp.ratfunc import MultiPoly, RatFunc
+from freegp.ratfunc import MAX_EXPONENT, MultiPoly, RatFunc
 from freegp.realize import (
     Realization,
+    _attempt_size,
+    _random_polynomial,
     evaluate_gp,
     identity_witness_search,
     realized_bracket,
     structured_witness,
 )
 
-from helpers import J3_T_TEXT, V, gp, gp_polys
+from helpers import J3_T_TEXT, V, coefficients, derivation_pair_bracket, gp, gp_polys
 
 TS = [V("t1"), V("t2"), V("t3")]
 
@@ -116,6 +118,107 @@ class TestRealizedBracket:
         value = _jacobiator_value(a, b, c, r)
         assert value == -r.variable("y1")
         assert not value.is_zero()
+
+
+NONZERO = coefficients | st.integers(-3, 3).filter(bool)  # Fraction and int
+
+
+def _monomials(realization, min_size=0):
+    """Exponent tuples with up to three nonzero exponents of 1..3."""
+    n = len(realization.var_names)
+    return st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), min_size=min_size, max_size=3).map(
+        lambda e: tuple(e.get(i, 0) for i in range(n))
+    )
+
+
+def _terms(realization, monomials, max_terms):
+    names = realization.var_names
+    return st.dictionaries(monomials, NONZERO, min_size=1, max_size=max_terms).map(
+        lambda terms: MultiPoly(names, terms)
+    )
+
+
+def nonconstant(realization):
+    """One to five terms over the realization's variables, not constant."""
+    return _terms(realization, _monomials(realization, 1), 5)
+
+
+def polynomials(realization):
+    """Zero, a constant or a nonconstant polynomial."""
+    names = realization.var_names
+    return st.one_of(
+        st.just(MultiPoly.zero(names)),
+        NONZERO.map(lambda c: MultiPoly.constant(names, c)),
+        nonconstant(realization),
+    )
+
+
+def fractions(realization):
+    """A `RatFunc` over a nonconstant denominator of one or two terms."""
+    return st.builds(RatFunc, polynomials(realization), _terms(realization, _monomials(realization, 1), 2))
+
+
+class TestFusedBracketAgainstPerPairOracle:
+    """The one-pass kernel against `derivation_pair_bracket`, the per-pair
+    formula of derivative polynomials, products and sums it replaced."""
+
+    @pytest.mark.parametrize("kind", ["poisson", "gps"])
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_polynomials(self, kind, n, data):
+        r = Realization(kind, n)
+        a, b = data.draw(polynomials(r)), data.draw(nonconstant(r))
+        for x, y in ((a, b), (b, a)):
+            got = realized_bracket(x, y, r)
+            expected = derivation_pair_bracket(x, y, r)
+            assert isinstance(got, MultiPoly) and got == expected
+            assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("kind", ["poisson", "gps"])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_twelve_pairs(self, kind, seed):
+        # the dense degree-2 operands of a random witness attempt, one
+        # scaled to Fraction coefficients
+        r = Realization(kind, 12)
+        rng = random.Random(seed)
+        a = _random_polynomial(r.var_names, rng)
+        b = _random_polynomial(r.var_names, rng) * Fraction(-1, 3)
+        got = realized_bracket(a, b, r)
+        assert got == derivation_pair_bracket(a, b, r)
+        assert not got.is_zero()
+
+    @pytest.mark.parametrize("kind", ["poisson", "gps"])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_fractions(self, kind, n, data):
+        r = Realization(kind, n)
+        a = data.draw(fractions(r))
+        b = data.draw(fractions(r) | polynomials(r))
+        for x, y in ((a, b), (b, a)):
+            got = realized_bracket(x, y, r)
+            assert isinstance(got, RatFunc)
+            assert got == derivation_pair_bracket(x, y, r)
+
+    @pytest.mark.parametrize("kind, top", [("poisson", MAX_EXPONENT), ("gps", MAX_EXPONENT - 1)])
+    def test_exponent_bound(self, kind, top):
+        # x1^top against y1: one more exponent, and under gps the twist
+        # y1 one more again, would pass MAX_EXPONENT
+        r = Realization(kind, 1)
+        y = r.variable("y1")
+        with pytest.raises(ValueError, match="could exceed"):
+            realized_bracket(MultiPoly(r.var_names, {(top, 0): 1}), y, r)
+        below = MultiPoly(r.var_names, {(top - 1, 0): 1})
+        assert realized_bracket(below, y, r) == derivation_pair_bracket(below, y, r)
+
+    @pytest.mark.parametrize("names", [("x1", "y1", "x2", "y2"), ("y1", "x1")])
+    @pytest.mark.parametrize("wrap", [lambda p: p, RatFunc], ids=["poly", "ratfunc"])
+    def test_operands_over_another_variable_tuple(self, names, wrap):
+        r = Realization("poisson", 1)
+        x, y = MultiPoly.variable(names, "x1"), MultiPoly.variable(names, "y1")
+        for a, b in ((x, y), (x, r.variable("y1")), (r.variable("x1"), y)):
+            with pytest.raises(ValueError, match="polynomials over"):
+                realized_bracket(wrap(a), wrap(b), r)
 
 
 class TestEvaluateGP:
@@ -274,6 +377,17 @@ class TestWitnessSearch:
             identity_witness_search(gp("{t1,t2}"), r, budget=-5)
         assert identity_witness_search(gp("{t1,t2}"), r, budget=0).method == "structured"
         assert identity_witness_search(gp(J3_T_TEXT), Realization("poisson", 2), budget=0) is None
+
+    def test_attempt_bound_is_checked_before_the_random_phase(self):
+        r = Realization("gps", 2)
+        w = identity_witness_search(gp("{t1,t2}"), r, max_term_pairs=0)
+        assert w is not None and w.method == "structured"
+        f = gp("{t1,{t2,{t3,t4}}}")  # no structured plan applies
+        assert identity_witness_search(f, r, budget=0, max_term_pairs=0) is None
+        with pytest.raises(ValueError, match="exceeds the bound 0"):
+            identity_witness_search(f, r, budget=1, max_term_pairs=0)
+        w = identity_witness_search(f, r, budget=1, seed=5, max_term_pairs=_attempt_size(f, r))
+        assert w is not None and w.method == "random"
 
     def test_random_phase_is_deterministic(self):
         f = gp("{t1,{t2,{t3,t4}}}")  # no structured plan applies
