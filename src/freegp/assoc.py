@@ -2,9 +2,10 @@
 
 Words are tuples of letters (any hashable, mutually comparable values).
 The module provides the signed permutation sums, the primitivity test
-for Lie elements (an element is Lie iff the coproduct that makes every
-letter primitive sends it to L(x)1 + 1(x)L), and the algebra map onto
-the exterior algebra of the letter space.
+for Lie elements (L is Lie iff the coproduct that makes every letter
+primitive sends it to L(x)1 + 1(x)L: no constant term, and the proper
+splits of its words cancel), and the algebra map onto the exterior
+algebra of the letter space.
 """
 
 from __future__ import annotations
@@ -115,11 +116,12 @@ def alternating_sum(m: int, letters: Sequence) -> AssocPoly:
 
 
 def _coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Coefficient]:
-    """Coproduct with every letter primitive, extended multiplicatively."""
+    """Proper part of the coproduct with every letter primitive, extended
+    multiplicatively: each word split into two nonempty subsequences."""
     acc: dict[tuple[tuple, tuple], Coefficient] = {}
     for word, c in L._terms.items():
         k = len(word)
-        for mask in range(1 << k):
+        for mask in range(1, (1 << k) - 1):
             left = tuple(word[i] for i in range(k) if mask >> i & 1)
             right = tuple(word[i] for i in range(k) if not mask >> i & 1)
             _accumulate(acc, (left, right), c)
@@ -127,12 +129,10 @@ def _coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Coefficient]:
 
 
 def is_lie_element(L: AssocPoly) -> bool:
-    """Primitivity test: the coproduct of L equals L(x)1 + 1(x)L."""
-    target: dict[tuple[tuple, tuple], Coefficient] = {}
-    for word, c in L._terms.items():
-        _accumulate(target, (word, ()), c)
-        _accumulate(target, ((), word), c)
-    return _coproduct(L) == target
+    """Primitivity test (Friedrichs' criterion): the coproduct of L equals
+    L(x)1 + 1(x)L iff L has no constant term (whose one split 1(x)1 that
+    sum counts twice) and the proper splits of its words cancel."""
+    return () not in L._terms and not _coproduct(L)
 
 
 class ExteriorElem(Linear):

@@ -24,10 +24,8 @@ from .identities import (
     strip_bare_factors,
 )
 from .parsing import (
-    BracketFactor,
-    Expr,
     ParseError,
-    VarFactor,
+    _evaluate,
     gp_to_ac,
     parse,
     to_assoc,
@@ -55,13 +53,12 @@ MAX_WITNESS_TERM_PAIRS = 1_000_000
 # 2-vCPU VM n=5 takes about 0.02 s, n=6 about 0.4 s and n=7 (10,395
 # words) about 40 s and 140 MB, too long for one command.
 MAX_JACOBIAN_N = 6
-# `lie-test` word length: the test splits each word of length d in 2^d
-# ways, and a bracket of d letters expands to 2^(d-1) words, so degree 9
-# takes about 0.6 s and each further letter about four times as long.
-MAX_LIE_DEGREE = 9
-# `lie-test` words in the expansion before cancellation, the count of the
-# degree-9 bracket; a product of sums multiplies their sizes.
-MAX_LIE_WORDS = 256
+# `lie-test` splits: over the words of the expansion before cancellation,
+# 2^(letters), a bound on the coproduct's splits; 2^17 is 256 words of 9
+# letters.  The slowest admitted shapes found, both at the bound, take
+# about 0.8 s (a 17-letter product) and 0.6 s (the 9-letter bracket) on a
+# shared 2-vCPU VM; the 10-letter bracket scores 524,288.
+MAX_LIE_SPLITS = 2**17
 # Variables of `reduce` (after stripping bare factors) and `jacobian`.  The
 # input must be polylinear, so this is its leaf count, and a word of h + 1
 # letters has a derivation difference of 2^h terms.  The slowest shapes
@@ -253,41 +250,22 @@ def _cmd_farkas_height(args):
     return payload, human
 
 
-def _degree(expr: Expr) -> int:
-    """Length of the longest word in the associative expansion of `expr`."""
-    top = 0
-    for term in expr.terms:
-        d = 0
-        for factor in term.factors:
-            if isinstance(factor, VarFactor):
-                d += 1
-            elif isinstance(factor, BracketFactor):
-                d += _degree(factor.left) + _degree(factor.right)
-            else:
-                d += _degree(factor.inner)
-        top = max(top, d)
-    return top
-
-
-def _expansion_size(expr: Expr) -> int:
-    """Words in the associative expansion of `expr` before cancellation:
-    a sum adds, a product multiplies and {A,B} = A*B - B*A doubles."""
-    total = 0
-    for term in expr.terms:
-        n = 1
-        for factor in term.factors:
-            if isinstance(factor, BracketFactor):
-                n *= 2 * _expansion_size(factor.left) * _expansion_size(factor.right)
-            elif not isinstance(factor, VarFactor):
-                n *= _expansion_size(factor.inner)
-        total += n
-    return total
+def _lie_splits(expr) -> int:
+    """Sum over the words of the associative expansion of `expr` before
+    cancellation of 2^(letters): a term counts 1 whatever its coefficient
+    (a zero term's groups and brackets are still expanded), a letter 2
+    and {A,B} = A*B - B*A twice the product of its sides."""
+    return _evaluate(
+        expr,
+        lambda c: 1,
+        lambda name: 2,
+        lambda left, right: 2 * _lie_splits(left) * _lie_splits(right),
+    )
 
 
 def _cmd_lie_test(args):
     expr = parse(args.expr)
-    _check_bound("degree", _degree(expr), MAX_LIE_DEGREE)
-    _check_bound("words", _expansion_size(expr), MAX_LIE_WORDS)
+    _check_bound("splits", _lie_splits(expr), MAX_LIE_SPLITS)
     ok = is_lie_element(to_assoc(expr))
     return {"lie": ok}, [f"lie: {str(ok).lower()}"]
 
@@ -386,6 +364,19 @@ def _command_name(argv) -> str:
 
 
 def main(argv=None) -> int:
+    # Exact integers (a `farkas-height` total, a bound's count, a literal)
+    # may pass Python's int-string limit: lift it for this call only.
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

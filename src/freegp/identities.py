@@ -336,9 +336,12 @@ def farkas_height(f: GPPoly) -> FarkasHeight:
 
 
 def strip_bare_factors(f: GPPoly) -> GPPoly:
-    """Substitute 1 for every variable occurring as a degree-one factor,
-    repeating until none remain.  Monomials holding such a variable
-    inside a bracket die with it ({u,1} = 0)."""
+    """Substitute 1 for one variable occurring as a degree-one factor at
+    a time, the least first, until none remain.  Monomials holding it
+    inside a bracket die with it ({u,1} = 0), so the order matters: on
+    x1*{x2,x3} + x2*{x1,x2}, x1 -> 1 kills the second monomial, x2 is
+    then bare nowhere and the result is {x2,x3}; substituting 1 for x1
+    and x2 at once would give 0."""
     g = f
     while True:
         bare = _bare_factor_variables(g)

@@ -243,11 +243,12 @@ def parse(text: str) -> Expr:
 
 
 def _evaluate(expr: Expr, constant, variable, bracket):
-    """Sum over the terms of `constant(coefficient)` times the factors: a
-    variable maps to `variable(name)`, a group to the fold of its inside,
-    and a bracket to `bracket(left, right)` of its *unevaluated* sides, so
-    a target without brackets rejects one before looking inside it."""
-    total = constant(0)
+    """Sum over the terms (there is at least one) of
+    `constant(coefficient)` times the factors: a variable maps to
+    `variable(name)`, a group to the fold of its inside, and a bracket to
+    `bracket(left, right)` of its *unevaluated* sides, so a target without
+    brackets rejects one before looking inside it."""
+    total = None
     for term in expr.terms:
         g = constant(term.coefficient)
         for factor in term.factors:
@@ -257,7 +258,7 @@ def _evaluate(expr: Expr, constant, variable, bracket):
                 g = g * bracket(factor.left, factor.right)
             else:
                 g = g * _evaluate(factor.inner, constant, variable, bracket)
-        total = total + g
+        total = g if total is None else total + g
     return total
 
 

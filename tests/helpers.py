@@ -29,7 +29,7 @@ from freegp.identities import (
     is_jacobian,
 )
 from freegp.linalg import RowReducer, primitive_integer_vector, solve
-from freegp.parsing import parse, to_ac, to_gp
+from freegp.parsing import BracketFactor, Expr, VarFactor, parse, to_ac, to_gp
 from freegp.ratfunc import MultiPoly
 from freegp.realize import Realization
 
@@ -460,6 +460,83 @@ def derivation_pair_bracket(a, b, realization: Realization):
     return total
 
 
+def _full_coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Coefficient]:
+    """Coproduct with every letter primitive, extended multiplicatively."""
+    acc: dict[tuple[tuple, tuple], Coefficient] = {}
+    for word, c in L._terms.items():
+        k = len(word)
+        for mask in range(1 << k):
+            left = tuple(word[i] for i in range(k) if mask >> i & 1)
+            right = tuple(word[i] for i in range(k) if not mask >> i & 1)
+            _accumulate(acc, (left, right), c)
+    return acc
+
+
+def full_coproduct_is_lie(L: AssocPoly) -> bool:
+    """Test oracle for `assoc.is_lie_element`: the whole coproduct of L,
+    every split of every word, equals L(x)1 + 1(x)L."""
+    target: dict[tuple[tuple, tuple], Coefficient] = {}
+    for word, c in L._terms.items():
+        _accumulate(target, (word, ()), c)
+        _accumulate(target, ((), word), c)
+    return _full_coproduct(L) == target
+
+
+def expanded_words(expr: Expr) -> list[tuple]:
+    """Test oracle for `cli._lie_splits`: the words of the associative
+    expansion of `expr` before cancellation, repeats kept and coefficients
+    ignored.  A sum joins its terms' words, a product concatenates one
+    word of each factor in every way, and {A,B} gives a+b and b+a."""
+    words = []
+    for term in expr.terms:
+        choices = [()]
+        for factor in term.factors:
+            if isinstance(factor, VarFactor):
+                options = [(factor.name,)]
+            elif isinstance(factor, BracketFactor):
+                left, right = expanded_words(factor.left), expanded_words(factor.right)
+                options = [w for a in left for b in right for w in (a + b, b + a)]
+            else:
+                options = expanded_words(factor.inner)
+            choices = [w + o for w in choices for o in options]
+        words += choices
+    return words
+
+
+def expansion_degree(expr: Expr) -> int:
+    """Length of the longest word in the associative expansion of `expr`."""
+    top = 0
+    for term in expr.terms:
+        d = 0
+        for factor in term.factors:
+            if isinstance(factor, VarFactor):
+                d += 1
+            elif isinstance(factor, BracketFactor):
+                d += expansion_degree(factor.left) + expansion_degree(factor.right)
+            else:
+                d += expansion_degree(factor.inner)
+        top = max(top, d)
+    return top
+
+
+def expansion_size(expr: Expr) -> int:
+    """Words in the associative expansion of `expr` before cancellation:
+    a sum adds, a product multiplies and {A,B} = A*B - B*A doubles.
+    With `expansion_degree`, the admission oracle of the `lie-test`
+    bound: every expression of degree at most 9 and at most 256 words
+    must be admitted."""
+    total = 0
+    for term in expr.terms:
+        n = 1
+        for factor in term.factors:
+            if isinstance(factor, BracketFactor):
+                n *= 2 * expansion_size(factor.left) * expansion_size(factor.right)
+            elif not isinstance(factor, VarFactor):
+                n *= expansion_size(factor.inner)
+        total += n
+    return total
+
+
 # ---------------------------------------------------------------- strategies
 
 coefficients = st.fractions(
@@ -578,3 +655,27 @@ def assoc_polys(letters, max_terms=4, max_length=4):
         st.tuples(st.lists(st.sampled_from(list(letters)), max_size=max_length), coefficients),
         max_size=max_terms,
     ).map(assemble)
+
+
+def expression_texts(letters=("u1", "u2", "u3"), max_leaves=8):
+    """Expression texts in the parser's grammar: signed sums of terms,
+    each a constant or an optional coefficient (zero included) times
+    letters, groups and brackets, nested."""
+    constants = st.sampled_from(["0", "1", "2/3"])
+    base = st.sampled_from(list(letters)) | constants
+
+    def extend(exprs):
+        factor = (
+            st.sampled_from(list(letters))
+            | exprs.map("({})".format)
+            | st.tuples(exprs, exprs).map("{{{0[0]},{0[1]}}}".format)
+        )
+        product = st.tuples(
+            st.sampled_from(["", "0*", "3*", "1/2*"]), st.lists(factor, min_size=1, max_size=3)
+        ).map(lambda p: p[0] + "*".join(p[1]))
+        signed = st.tuples(st.sampled_from(["+", "-"]), product | constants)
+        return st.lists(signed, min_size=1, max_size=3).map(
+            lambda terms: "".join(sign + text for sign, text in terms)
+        )
+
+    return st.recursive(base, extend, max_leaves=max_leaves)

@@ -18,6 +18,7 @@ from freegp.assoc import (
     permutation_sign,
 )
 from freegp.linalg import solve
+import helpers
 
 LETTERS = ("u1", "u2", "u3", "u4")
 
@@ -78,6 +79,20 @@ class TestLieElement:
         c = AssocPoly.letter("u3")
         assert is_lie_element(commutator(commutator(a, b), c))
         assert is_lie_element(commutator(a, commutator(b, c)) - commutator(b, commutator(a, c)))
+
+    @settings(max_examples=200)
+    @given(
+        helpers.assoc_polys(LETTERS),
+        st.sampled_from([0, 1, -2, Fraction(1, 3)]),
+        helpers.assoc_polys(LETTERS, max_length=1),
+        helpers.assoc_polys(LETTERS, max_length=1),
+    )
+    def test_agrees_with_the_full_coproduct(self, f, c, a, b):
+        constant = c * AssocPoly.one()
+        lie = commutator(a, b)  # words of at most one letter commute to a Lie element
+        for L in (f, f + constant, lie, lie + constant, commutator(lie, f)):
+            assert is_lie_element(L) == helpers.full_coproduct_is_lie(L)
+        assert is_lie_element(lie)
 
 
 class TestExteriorImage:

@@ -10,26 +10,28 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from freegp.cli import (
     MAX_BUDGET,
     MAX_JACOBIAN_N,
     MAX_JACOBIAN_TERMS,
     MAX_JACOBIAN_VARIABLES,
-    MAX_LIE_DEGREE,
-    MAX_LIE_WORDS,
+    MAX_LIE_SPLITS,
     MAX_LINEARIZE_TERMS,
     MAX_REDUCE_VARIABLES,
     MAX_SIZE,
     MAX_WITNESS_TERM_PAIRS,
     _VALUE_OPTIONS,
     _difference_size,
+    _lie_splits,
     build_parser,
     entry,
     main,
 )
 from freegp.parsing import MAX_DEPTH, parse, to_gp
 from freegp.realize import Realization, _attempt_size
+from helpers import expanded_words, expansion_degree, expansion_size, expression_texts
 
 J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
 
@@ -212,7 +214,11 @@ class TestConsecutiveCalls:
         })
 
 
-class TestLieDegreeBound:
+class TestLieWordBound:
+    """`lie-test` counts, on the parsed expression, the coproduct splits
+    of the words of its expansion: the sum over the words before
+    cancellation of 2^(letters)."""
+
     @staticmethod
     def bracket(d: int) -> str:
         """{u1,{u2,...{u_{d-1},u_d}...}}: 2^(d-1) words of d letters."""
@@ -221,53 +227,76 @@ class TestLieDegreeBound:
             e = f"{{u{i},{e}}}"
         return e
 
-    def test_worst_input_at_the_bound_finishes(self, capsys):
-        assert MAX_LIE_DEGREE == 9
+    @pytest.mark.parametrize("expr, lie", [
+        (bracket.__func__(9), True),
+        ("*".join(f"u{i}" for i in range(1, 18)), False),
+    ], ids=["bracket", "product"])
+    def test_worst_input_at_the_bound_finishes(self, capsys, expr, lie):
+        assert _lie_splits(parse(expr)) == MAX_LIE_SPLITS == 2**17
         start = time.perf_counter()
-        code, doc = run_json(capsys, "lie-test", self.bracket(MAX_LIE_DEGREE))
-        assert code == 0 and doc["result"] == {"lie": True}
-        assert time.perf_counter() - start < 10  # about 0.6 s on a 2-vCPU VM
+        code, doc = run_json(capsys, "lie-test", expr)
+        assert code == 0 and doc["result"] == {"lie": lie}
+        assert time.perf_counter() - start < 10  # about 0.6 and 0.8 s on a 2-vCPU VM
 
-    @pytest.mark.parametrize("expr", [
-        bracket.__func__(MAX_LIE_DEGREE + 1),
-        "u1*u2*u3*u4*u5*u6*u7*u8*u9*u10 - u1",
-        "{u1*u2*u3*u4*u5, (u6*u7 + 1)*u8*u9*u10}",
-        "{" * 200 + "u1" + ",u2}" * 200,
-    ], ids=["bracket", "product", "bracket-of-products", "nested-200"])
-    def test_past_the_bound_exit_1_at_once(self, capsys, expr):
+    @pytest.mark.parametrize("expr, splits", [
+        (bracket.__func__(10), 2**19),
+        ("{" * 200 + "u1" + ",u2}" * 200, 2**401),
+    ], ids=["bracket", "nested-200"])
+    def test_past_the_bound_exit_1_at_once(self, capsys, expr, splits):
         start = time.perf_counter()
         code, doc = run_json(capsys, "lie-test", expr)
         assert time.perf_counter() - start < 1
         assert code == 1 and doc["status"] == "error"
-        assert doc["result"].startswith("degree=") and doc["result"].endswith("exceeds the bound 9")
+        assert doc["result"] == f"splits={splits} exceeds the bound 131072"
 
-    def test_degree_counts_the_longest_term(self, capsys):
-        at_bound = "u1*u2*u3*u4*u5*u6*u7*u8*u9 + 3 + u1"
-        assert run_json(capsys, "lie-test", at_bound)[0] == 0
-        assert run_json(capsys, "lie-test", "(" + at_bound + ")*u1")[0] == 1
-
-
-class TestLieWordBound:
     def test_product_of_sums_exit_1_at_once(self, capsys):
-        # degree 9, but 3^9 words: it took 44 s before this bound
-        assert MAX_LIE_WORDS == 256
+        # 9 letters and 3^9 words: it took 44 s without a bound on the words
         start = time.perf_counter()
         code, doc = run_json(capsys, "lie-test", "*".join(["(u1+u2+u3)"] * 9))
         assert time.perf_counter() - start < 1
         assert code == 1 and doc["status"] == "error"
-        assert doc["result"] == "words=19683 exceeds the bound 256"
+        assert doc["result"] == "splits=10077696 exceeds the bound 131072"
 
     def test_at_the_bound_is_admitted(self, capsys):
-        assert run_json(capsys, "lie-test", "*".join(["(u1+u2)"] * 8))[0] == 0
+        at_bound = "*".join(["(u1+u2)"] * 8) + "*u3"
+        assert run_json(capsys, "lie-test", at_bound)[0] == 0
+        code, doc = run_json(capsys, "lie-test", at_bound + " + 1")
+        assert code == 1 and doc["result"] == "splits=131073 exceeds the bound 131072"
 
-    @pytest.mark.parametrize("expr, words", [
-        ("*".join(["(u1+u2)"] * 8) + " + u3", 257),
-        ("{" + "*".join(["(u1+u2)"] * 4) + "," + "*".join(["(u1+u2)"] * 4) + "}", 512),
-        ("{u1+u2,{u3,u4}}*(u5+1)*((u1+u2)*(u3+u4+u5))*(u6+u7)*(u8+u9)", 384),
-    ], ids=["sum", "bracket", "group"])
-    def test_counts_sums_products_and_brackets(self, capsys, expr, words):
+    def test_a_zero_term_counts_like_any_other(self, capsys):
+        # the fold still expands the group, 3^11 words, before it multiplies by 0
+        expr = "0*(" + "*".join(["(u1+u2+u3)"] * 11) + ") + u1"
         code, doc = run_json(capsys, "lie-test", expr)
-        assert code == 1 and doc["result"] == f"words={words} exceeds the bound 256"
+        assert code == 1 and doc["result"] == f"splits={6**11 + 2} exceeds the bound 131072"
+
+    @pytest.mark.parametrize("expr, splits", [
+        ("u1*u2*u3*u4*u5*u6*u7*u8*u9*u10 - u1", 1_026),
+        ("{u1*u2*u3*u4*u5, (u6*u7 + 1)*u8*u9*u10}", 2_560),
+        ("*".join(["(u1+u2)"] * 8) + " + u3", 65_538),
+        ("{u1+u2,{u3,u4}}*(u5+1)*((u1+u2)*(u3+u4+u5))*(u6+u7)*(u8+u9)", 73_728),
+        ("{" + "*".join(["(u1+u2)"] * 4) + "," + "*".join(["(u1+u2)"] * 4) + "}", 131_072),
+    ], ids=["product", "bracket-of-products", "sum", "group", "bracket"])
+    def test_counts_sums_products_and_brackets(self, capsys, expr, splits):
+        assert _lie_splits(parse(expr)) == splits
+        assert run_json(capsys, "lie-test", expr)[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(expression_texts())
+    def test_count_is_the_splits_of_the_expansion(self, text):
+        expr = parse(text)
+        assert _lie_splits(expr) == sum(2 ** len(w) for w in expanded_words(expr))
+
+    @settings(max_examples=200, deadline=None)
+    @given(expression_texts(max_leaves=30))
+    @example(bracket.__func__(9))
+    @example("*".join(["(u1+u2)"] * 8) + "*u3")
+    @example("u1*u2*u3*u4*u5*u6*u7*u8*u9 + 3 + u1")
+    def test_admits_every_text_of_degree_9_and_256_words(self, text):
+        expr = parse(text)
+        degree, words = expansion_degree(expr), expansion_size(expr)
+        assert _lie_splits(expr) <= words * 2**degree
+        if degree <= 9 and words <= 256:
+            assert _lie_splits(expr) <= MAX_LIE_SPLITS
 
 
 def left_normed_text(names) -> str:
@@ -569,6 +598,44 @@ class TestErrorPaths:
         assert code == 0 and doc["result"] == "y1"
         code, doc = run_json(capsys, "witness", "--m", "12", "--budget", "1000", J3_T)
         assert code == 0 and doc["result"]["method"] == "structured"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+class TestLongIntegers:
+    """Exact integers past Python's 4,300-digit limit on int-string
+    conversion print in full, and `main` leaves the limit as it was."""
+
+    @staticmethod
+    def balanced(names) -> str:
+        if len(names) == 1:
+            return names[0]
+        mid = len(names) // 2
+        return f"{{{TestLongIntegers.balanced(names[:mid])},{TestLongIntegers.balanced(names[mid:])}}}"
+
+    def test_farkas_height_prints_the_exact_total(self, capsys):
+        text = self.balanced([f"x{i}" for i in range(1, 10_001)])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            total = str(10_000 * 3**10_000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        code, out, _ = run(capsys, "farkas-height", text, "--json")
+        assert code == 0
+        assert out.startswith(f'{{"command": "farkas-height", "status": "ok", "result": {{"total": {total}, ')
+        code, out, _ = run(capsys, "farkas-height", text)
+        assert code == 0 and out.startswith(f"total: {total}\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_linearize_names_the_bound(self, capsys):
+        code, doc = run_json(capsys, "linearize", "*".join(["x1"] * 2000))
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"].startswith("terms=") and doc["result"].endswith(" exceeds the bound 46656")
+        assert len(doc["result"]) == len("terms= exceeds the bound 46656") + 6603  # 2000^2000
+
+    def test_long_literal_round_trips(self, capsys):
+        literal = "1" + "0" * 5000
+        assert run(capsys, "normalize", literal) == (0, literal + "\n", "")
 
 
 class TestDeterminism:

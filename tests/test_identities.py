@@ -355,6 +355,12 @@ class TestStripBareFactors:
     def test_pure_product_collapses_to_unit(self):
         assert strip_bare_factors(gp("x1*x2")) == GPPoly.one()
 
+    def test_one_variable_at_a_time_least_first(self):
+        f = gp("x1*{x2,x3} + x2*{x1,x2}")
+        assert strip_bare_factors(f) == gp("{x2,x3}")
+        one = GPPoly.one()
+        assert substitute(f, {V("x1"): one, V("x2"): one}).is_zero()
+
 
 class TestJacobianReduce:
     def test_fixed_points(self):
