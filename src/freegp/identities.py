@@ -424,18 +424,32 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
     partition they name and each group must be one multiple of that
     partition's product; no other partition is visited.  Blocks are
     sorted by least variable, and `blocks` lists pairs before triples,
-    block by block from the least variable."""
-    if not is_jacobian(f):
-        raise ValueError("input is not Jacobian")
-    not_spanned = ProductDecomposition(
-        False, (), (), "not in the span of pair/triple bracket products"
-    )
+    block by block from the least variable.
+
+    A decomposition that succeeds proves f Jacobian, so the Jacobian
+    test runs only where none is found.  Each product is of a pair
+    bracket or a jacobiator on disjoint blocks that cover the support,
+    so it is a derivation in each of its variables (in the factor that
+    holds it), and a sum of derivations is one.  Raises `ValueError`
+    when f is not polylinear (checked first: without it, blocks could
+    overlap), and when no decomposition is found and f is not Jacobian;
+    a Jacobian f outside the span gives `ok=False`."""
+    if not is_polylinear(f):
+        raise ValueError("Jacobian test needs a polylinear input; linearize first")
+
+    def not_spanned() -> ProductDecomposition:
+        if not is_jacobian(f):
+            raise ValueError("input is not Jacobian")
+        return ProductDecomposition(
+            False, (), (), "not in the span of pair/triple bracket products"
+        )
+
     # f is polylinear: the blocks of each monomial partition the support
     groups: dict[tuple[tuple[Variable, ...], ...], dict[Monomial, Coefficient]] = {}
     for m, c in f._terms.items():
         part = tuple(sorted(tuple(sorted(w.varset)) for w in m))
         if any(len(block) not in (2, 3) for block in part):
-            return not_spanned
+            return not_spanned()
         groups.setdefault(part, {})[m] = c
     terms = []
     blocks = []
@@ -450,7 +464,7 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
         m, d = next(iter(g._terms.items()))
         c = _coefficient(Fraction(group.get(m, 0), d))
         if any(group.get(m) != c * d for m, d in g._terms.items()):
-            return not_spanned
+            return not_spanned()
         terms.append((c, g))
         blocks.append(part)
     return ProductDecomposition(True, tuple(terms), tuple(blocks))

@@ -50,6 +50,7 @@ from helpers import (
     acp,
     coefficients,
     gp,
+    gp_polys,
     left_normed,
     linear_gp_polys,
     per_variable_jacobian_space,
@@ -427,11 +428,31 @@ class TestProductDecompose:
     def test_unpartitionable_support(self):
         # a single variable cannot be covered by blocks of 2 and 3, and a
         # one-variable element is never Jacobian, so the decomposition has
-        # no unpartitionable support to report
+        # no unpartitionable support to report: the block (x1,) takes the
+        # not-spanned path, whose Jacobian test raises
         assert list(_partitions_23((V("x1"),))) == []
         assert list(_partitions_23(())) == [()]
-        with pytest.raises(ValueError, match="not Jacobian"):
-            jacobian_product_decompose(gp("x1"))
+        with mock.patch.object(freegp.identities, "is_jacobian", wraps=is_jacobian) as spy:
+            with pytest.raises(ValueError, match="not Jacobian"):
+                jacobian_product_decompose(gp("x1"))
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("text", ["{x1,x2}*{x1,x2}", "{x1,x2}*{x1,x3}"])
+    def test_overlapping_blocks_are_not_polylinear(self, text):
+        # each group is one multiple of a product of pair brackets, so only
+        # the polylinear check keeps these from decomposing over blocks
+        # that share a variable
+        with pytest.raises(ValueError, match="polylinear"):
+            jacobian_product_decompose(gp(text))
+
+    def test_success_runs_no_jacobian_test(self):
+        # a decomposition proves f Jacobian; the test runs only on refusal
+        f = gp("{x1,x2}*{x3,x4}") + 2 * gp("{x1,x3}*{x2,x4}")
+        with mock.patch.object(freegp.identities, "is_jacobian", wraps=is_jacobian) as spy:
+            assert jacobian_product_decompose(f).ok
+            with pytest.raises(ValueError, match="not Jacobian"):
+                jacobian_product_decompose(f + gp("{x1,{x2,{x3,x4}}}"))
+        assert spy.call_count == 1
 
     def test_constant_decomposes_over_empty_partition(self):
         d = jacobian_product_decompose(GPPoly.constant(5))
@@ -516,9 +537,35 @@ def partition_combinations(draw):
     return f, coeffs
 
 
+def assert_same_outcome(g: GPPoly) -> None:
+    """The decomposition of g equals the oracle's, or both raise
+    `ValueError` with the same message."""
+    try:
+        expected = solve_product_decompose(g)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            jacobian_product_decompose(g)
+        assert str(raised.value) == str(error)
+    else:
+        assert jacobian_product_decompose(g) == expected
+
+
 class TestProductDecomposeAgainstSolve:
     """The partition-indexed decomposition against the linear solve over
     every partition product (`helpers.solve_product_decompose`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            # mostly not polylinear: repeated variables, bare factors,
+            # constants and terms of different supports
+            gp_polys(xvars(4), max_terms=3, max_factors=3),
+            # polylinear, mostly not Jacobian
+            polylinear_gp_polys(max_vars=6),
+        )
+    )
+    def test_any_input(self, g):
+        assert_same_outcome(g)
 
     @settings(max_examples=150, deadline=None)
     @given(partition_combinations())
@@ -552,13 +599,7 @@ class TestProductDecomposeAgainstSolve:
         if kind == "drop":
             delta = -f.coefficient(m)
         g = f + GPPoly.from_factors(m, delta)
-        try:
-            expected = solve_product_decompose(g)
-        except ValueError:
-            with pytest.raises(ValueError, match="not Jacobian"):
-                jacobian_product_decompose(g)
-        else:
-            assert jacobian_product_decompose(g) == expected
+        assert_same_outcome(g)
         # past the Jacobian precondition, both must agree on the span test
         with mock.patch.object(freegp.identities, "is_jacobian", lambda _: True), \
                 mock.patch.object(helpers, "is_jacobian", lambda _: True):
