@@ -23,9 +23,7 @@ sum through its reflected operators.
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -76,6 +74,10 @@ class MultiPoly(Linear):
         n = len(self.vars)
         return 1 << _BITS * n | 1 << _BITS * (n - 1 - i)
 
+    def _exponents(self, key: int) -> tuple[int, ...]:
+        n = len(self.vars)
+        return tuple(key >> _BITS * (n - 1 - i) & _MASK for i in range(n))
+
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "MultiPoly":
         return cls(vars)
@@ -103,15 +105,7 @@ class MultiPoly(Linear):
 
     def terms(self) -> list[tuple[tuple[int, ...], Coefficient]]:
         """(exponent tuple, coefficient) pairs, deg-lex greatest first."""
-        # the exponent fields below the degree field: n big-endian words of
-        # _BITS = 16 bits, struct format H
-        n = len(self.vars)
-        fields = f">{n}H"
-        low = (1 << _BITS * n) - 1
-        return [
-            (struct.unpack(fields, (k & low).to_bytes(2 * n, "big")), self._terms[k])
-            for k in sorted(self._terms, reverse=True)
-        ]
+        return [(self._exponents(k), self._terms[k]) for k in sorted(self._terms, reverse=True)]
 
     def _check(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
@@ -227,10 +221,13 @@ class MultiPoly(Linear):
         return hash((self.vars, frozenset(self._terms.items())))
 
     def _key_str(self, e: tuple[int, ...]) -> str:
-        # only the variables of nonzero exponent, in order
-        return "*".join(
-            name if k == 1 else f"{name}^{k}" for name, k in zip(compress(self.vars, e), filter(None, e))
-        )
+        pieces = []
+        for name, k in zip(self.vars, e):
+            if k == 1:
+                pieces.append(name)
+            elif k > 1:
+                pieces.append(f"{name}^{k}")
+        return "*".join(pieces)
 
 
 class RatFunc:

@@ -15,7 +15,6 @@ from freegp.ac import (
     Word,
     _accumulate,
     enumerate_polylinear_basis,
-    format_linear,
     normalize_word,
 )
 from freegp.assoc import AssocPoly
@@ -423,33 +422,13 @@ class TupleMultiPoly(Linear):
         return hash((self.vars, frozenset(self._terms.items())))
 
     def _key_str(self, e: tuple[int, ...]) -> str:
-        return exponent_str(self.vars, e)
-
-
-def exponent_str(vars: Sequence[str], e: tuple[int, ...]) -> str:
-    """Test oracle for `MultiPoly._key_str`: every name and field visited."""
-    pieces = []
-    for name, k in zip(vars, e):
-        if k == 1:
-            pieces.append(name)
-        elif k > 1:
-            pieces.append(f"{name}^{k}")
-    return "*".join(pieces)
-
-
-def shift_mask_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], Coefficient]]:
-    """Test oracle for `MultiPoly.terms`: each exponent field of a packed
-    key read by its own shift and mask."""
-    n = len(p.vars)
-    return [
-        (tuple(k >> 16 * (n - 1 - i) & 0xFFFF for i in range(n)), p._terms[k])
-        for k in sorted(p._terms, reverse=True)
-    ]
-
-
-def field_by_field_repr(p: MultiPoly) -> str:
-    """Test oracle for `repr` of a `MultiPoly`."""
-    return format_linear((exponent_str(p.vars, e), c) for e, c in shift_mask_terms(p))
+        pieces = []
+        for name, k in zip(self.vars, e):
+            if k == 1:
+                pieces.append(name)
+            elif k > 1:
+                pieces.append(f"{name}^{k}")
+        return "*".join(pieces)
 
 
 # ---------------------------------------------------------------- realization oracle

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from freegp.ratfunc import MAX_EXPONENT, MultiPoly
 
-from helpers import TupleMultiPoly, coefficients, field_by_field_repr, shift_mask_terms
+from helpers import TupleMultiPoly, coefficients
 
 NAMES = [f"{c}{i}" for i in range(1, 13) for c in "xy"]  # 24 names
 
@@ -101,30 +101,9 @@ class TestAgainstTupleOracle:
         vars = ("x1", "y1", "x2")
         for c in (0, 1, -2, Fraction(3, 4)):
             _same(MultiPoly.constant(vars, c), TupleMultiPoly.constant(vars, c))
+            _same(MultiPoly.constant((), c), TupleMultiPoly.constant((), c))  # no variables
         for name in vars:
             _same(MultiPoly.variable(vars, name), TupleMultiPoly.variable(vars, name))
-
-
-class TestPrinting:
-    """`terms()` and `repr` against the field-by-field reading they replaced."""
-
-    @settings(max_examples=100)
-    @given(st.one_of(pairs(), pairs(second_terms=1)))
-    def test_against_field_by_field_oracle(self, pair):
-        vars, a, b = pair
-        p, q = MultiPoly(vars, a), MultiPoly(vars, b)
-        values = [p, q, p - q]
-        if _max_exponent(a) + _max_exponent(b) <= MAX_EXPONENT:
-            values.append(p * q)  # degree fields past 16 bits
-        for v in values:
-            assert v.terms() == shift_mask_terms(v)
-            assert repr(v) == field_by_field_repr(v)
-
-    def test_no_variables(self):
-        for c in (0, 5, Fraction(-1, 2)):
-            v = MultiPoly.constant((), c)
-            assert v.terms() == shift_mask_terms(v)
-            assert repr(v) == field_by_field_repr(v)
 
 
 class TestDegreeGuard:
