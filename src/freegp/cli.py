@@ -51,7 +51,7 @@ MAX_BUDGET = 1000  # witness --budget
 MAX_WITNESS_TERM_PAIRS = 1_000_000
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
 # 2-vCPU VM n=5 takes about 0.02 s, n=6 about 0.4 s and n=7 (10,395
-# words) about 40 s and 140 MB, too long for one command.
+# words) about 18 s and 98 MB peak RSS, too long for one command.
 MAX_JACOBIAN_N = 6
 # `lie-test` splits: over the words of the expansion before cancellation,
 # 2^(letters), a bound on the coproduct's splits; 2^17 is 256 words of 9

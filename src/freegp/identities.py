@@ -201,41 +201,25 @@ def _relabel(
     return got
 
 
-def _jacobian_reducer(n: int) -> tuple[list[Word], RowReducer]:
+def _x1_reducer(n: int) -> tuple[list[Word], RowReducer]:
     """The polylinear basis on x1..xn and the row reduction of the system
-    "D(w, xi, xi, x_{n+1}) vanishes for each xi" over it.
-
-    Only the rows of x1 are computed.  Relabeling by the transposition
-    (x1 xi), which fixes z = x_{n+1}, is an automorphism sending
-    D(f, x1, x1, z) to D(f', xi, xi, z) for the relabeled f'.  It sends
-    basis word k to +-word j and, being an involution, word j back to
-    the same multiple of word k; so the row space of xi is that of x1
-    with column k moved to j and scaled by the sign.
+    "D(w, x1, x1, x_{n+1}) vanishes" over it: stage 1 of `jacobian_space`.
     """
     if n < 2:
         raise ValueError("need at least two variables")
     xs = [Variable("x", i) for i in range(1, n + 1)]
     x1, z = xs[0], Word.leaf(Variable("x", n + 1))
     words = enumerate_polylinear_basis(xs)
-    index = {w: j for j, w in enumerate(words)}
     rows: dict[Monomial, dict[int, Coefficient]] = {}
     for j, w in enumerate(words):
         for m, c in _factor_difference(w, x1, Word.leaf(x1), z).items():
             rows.setdefault(m, {})[j] = c
-    x1_rows = [rows[m] for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono))]
     reducer = RowReducer(len(words))
-    for xi in xs:
-        images = {x1: xi, xi: x1} if xi != x1 else {}
-        memo: dict[Word, tuple[int, Word]] = {}
-        moved = [(index[u], s) for s, u in (_relabel(w, images, memo) for w in words)]
-        for sparse in x1_rows:
-            row = [0] * len(words)
-            for k, c in sparse.items():
-                j, s = moved[k]
-                row[j] = s * c
-            reducer.add(row)
-            if reducer.rank == len(words):
-                return words, reducer
+    for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono)):
+        row = [0] * len(words)
+        for j, c in rows[m].items():
+            row[j] = c
+        reducer.add(row)
     return words, reducer
 
 
@@ -243,17 +227,58 @@ def jacobian_space(n: int) -> list[ACPoly]:
     """Basis of the polylinear elements on x1..xn that are Jacobian.
 
     Solves the exact linear system "D(w, xi, xi, x_{n+1}) vanishes for
-    each xi" over the basis of polylinear normal words w.  The rows of
-    x1 are built once and each other variable's rows are their
-    relabeling by a transposition (`_jacobian_reducer`).  The dimension
-    is 1 for n = 2 and n = 3 and 0 beyond.
+    each xi" over the basis of polylinear normal words w, in two stages.
+    Stage 1 reduces the rows of x1 alone (`_x1_reducer`); its free
+    columns are the coordinates of the kernel of x1.  Relabeling by the
+    transposition (x1 xi), which fixes z = x_{n+1}, is an automorphism
+    sending D(f, x1, x1, z) to D(f', xi, xi, z) for the relabeled f'.  It
+    sends basis word k to +-word j and, being an involution, word j back
+    to the same multiple of word k; so the row space of xi is that of x1
+    with column k moved to j and scaled by the sign, and the relabeled
+    pivot rows of stage 1 span it.  Stage 2 clears each of those rows
+    against stage 1 (`RowReducer.residual`), which leaves it on the free
+    columns, its values there being the row in kernel coordinates, and
+    reduces it there.  A stage-2 kernel vector c is the word vector with
+    c on the free columns and -sum_f prow_p[f]*c_f on each pivot p.  The
+    dimension is 1 for n = 2 and n = 3 and 0 beyond, so the primitive
+    integer vector of the space is unique.
     """
-    words, reducer = _jacobian_reducer(n)
+    return _x1_kernel_space(n, *_x1_reducer(n))
+
+
+def _x1_kernel_space(n: int, words: list[Word], x1_rows: RowReducer) -> list[ACPoly]:
+    """Stage 2 of `jacobian_space`, on stage 1's words and reduction."""
+    free = [j for j in range(len(words)) if j not in x1_rows.pivots]
+    coordinate = {j: f for f, j in enumerate(free)}
+    kernel = RowReducer(len(free))
+    index = {w: j for j, w in enumerate(words)}
+    x1 = Variable("x", 1)
+    for i in range(2, n + 1):
+        xi = Variable("x", i)
+        images = {x1: xi, xi: x1}
+        memo: dict[Word, tuple[int, Word]] = {}
+        moved = [(index[u], s) for s, u in (_relabel(w, images, memo) for w in words)]
+        for prow in x1_rows.pivots.values():
+            relabeled = {}
+            for k, c in prow.items():
+                j, s = moved[k]
+                relabeled[j] = s * c
+            row = [0] * len(free)
+            for j, c in x1_rows.residual(relabeled).items():
+                row[coordinate[j]] = c
+            kernel.add(row)
+            if kernel.rank == len(free):
+                return []
     basis = []
-    for vec in reducer.nullspace():
-        vec = primitive_integer_vector(vec)
+    for vec in kernel.nullspace():
+        full: list[Coefficient] = [0] * len(words)
+        for j, c in zip(free, vec):
+            full[j] = c
+        # every nonzero off the pivot of a reduced row is in a free column
+        for p, prow in x1_rows.pivots.items():
+            full[p] = -sum(c * full[j] for j, c in prow.items() if j != p)
         acc: dict[Word, Coefficient] = {}
-        for j, c in enumerate(vec):
+        for j, c in enumerate(primitive_integer_vector(full)):
             if c:
                 acc[words[j]] = c
         basis.append(ACPoly(acc))

@@ -14,6 +14,8 @@ re-normalizing, so integer rows eliminated with unit pivots stay `int`.
 The basis is kept in reduced row-echelon form, which is unique for a
 row space, so the rank after each row, the nullspace vectors and the
 solutions do not depend on how the elimination is organized.
+`residual` takes a row as its nonzero entries and returns what is left
+of it once every pivot column is cleared, without adding it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .ac import Coefficient, _coefficient
 
@@ -43,6 +45,18 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def residual(self, row: Mapping[int, Coefficient]) -> dict[int, Coefficient]:
+        """`row`, given by its nonzero `int`/`Fraction` entries, minus the
+        combination of basis rows that clears every pivot column; empty
+        when `row` is in the row space."""
+        work = dict(row)
+        pivots = self.pivots
+        # Subtracting a basis row changes no other pivot column (the basis
+        # is reduced), so one pass over the row's pivot entries clears them.
+        for col in [j for j in work if j in pivots]:
+            _subtract(work, work[col], pivots[col])
+        return work
+
     def add(self, row: Sequence[Coefficient]) -> bool:
         """Reduce `row` against the basis; returns True if rank grew."""
         if len(row) != self.ncols:
@@ -51,13 +65,10 @@ class RowReducer:
         for j in compress(self._columns, row):  # the nonzero cells
             x = row[j]
             work[j] = x if type(x) is int else _coefficient(x)
-        pivots = self.pivots
-        # Subtracting a basis row changes no other pivot column (the basis
-        # is reduced), so one pass over the row's pivot entries clears them.
-        for col in [j for j in work if j in pivots]:
-            _subtract(work, work[col], pivots[col])
+        work = self.residual(work)
         if not work:
             return False
+        pivots = self.pivots
         lead = min(work)
         inv = work[lead]
         if inv != 1:

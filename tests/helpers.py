@@ -146,28 +146,34 @@ def two_pass_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
 # ---------------------------------------------------------------- classification oracle
 
 
-def per_variable_jacobian_space(n: int) -> tuple[list[ACPoly], RowReducer]:
-    """Test oracle for `freegp.identities.jacobian_space`: the rows of
-    every variable built from scratch with `_factor_difference`.  Also
-    returns the row reduction, to compare with `_jacobian_reducer`."""
+def derivation_rows(n: int, xi: Variable) -> list[list[Coefficient]]:
+    """The rows of "D(w, xi, xi, x_{n+1}) vanishes" over the polylinear
+    basis on x1..xn, built from scratch with `_factor_difference`, dense
+    and in monomial order."""
+    z = Word.leaf(Variable("x", n + 1))
+    words = enumerate_polylinear_basis(xvars(n))
+    rows: dict[Monomial, list[Coefficient]] = {}
+    for j, w in enumerate(words):
+        for m, c in _factor_difference(w, xi, Word.leaf(xi), z).items():
+            row = rows.get(m)
+            if row is None:
+                row = rows[m] = [0] * len(words)
+            row[j] = c
+    return [rows[m] for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono))]
+
+
+def per_variable_jacobian_space(n: int) -> list[ACPoly]:
+    """Test oracle for `freegp.identities.jacobian_space`: one reduction
+    of the rows of every variable (`derivation_rows`) over all words."""
     if n < 2:
         raise ValueError("need at least two variables")
-    xs = [Variable("x", i) for i in range(1, n + 1)]
-    z = Word.leaf(Variable("x", n + 1))
-    words = enumerate_polylinear_basis(xs)
+    words = enumerate_polylinear_basis(xvars(n))
     reducer = RowReducer(len(words))
-    for xi in xs:
-        rows: dict[Monomial, list[Coefficient]] = {}
-        for j, w in enumerate(words):
-            for m, c in _factor_difference(w, xi, Word.leaf(xi), z).items():
-                row = rows.get(m)
-                if row is None:
-                    row = rows[m] = [0] * len(words)
-                row[j] = c
-        for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono)):
-            reducer.add(rows[m])
+    for xi in xvars(n):
+        for row in derivation_rows(n, xi):
+            reducer.add(row)
             if reducer.rank == len(words):
-                return [], reducer
+                return []
     basis = []
     for vec in reducer.nullspace():
         vec = primitive_integer_vector(vec)
@@ -176,7 +182,7 @@ def per_variable_jacobian_space(n: int) -> tuple[list[ACPoly], RowReducer]:
             if c:
                 acc[words[j]] = c
         basis.append(ACPoly(acc))
-    return basis, reducer
+    return basis
 
 
 # ---------------------------------------------------------------- decomposition oracle

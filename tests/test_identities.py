@@ -1,6 +1,7 @@
 """Derivation calculus: differences, Jacobian classification, reduction."""
 
 import functools
+import math
 import random
 import time
 from fractions import Fraction
@@ -26,8 +27,8 @@ from freegp.gp import GPPoly, substitute
 from freegp.identities import (
     _block_element,
     _factor_difference,
-    _jacobian_reducer,
     _relabel,
+    _x1_reducer,
     derivation_difference,
     farkas_height,
     is_derivation_in,
@@ -41,6 +42,7 @@ from freegp.identities import (
     multiplication_operator,
     strip_bare_factors,
 )
+from freegp.linalg import RowReducer
 
 import helpers
 from helpers import (
@@ -49,6 +51,7 @@ from helpers import (
     _partitions_23,
     acp,
     coefficients,
+    derivation_rows,
     gp,
     gp_polys,
     left_normed,
@@ -256,11 +259,21 @@ class TestJacobianSpace:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_relabeled_rows_match_per_variable_rows(self, n):
-        basis, oracle = per_variable_jacobian_space(n)
-        assert jacobian_space(n) == basis
-        words, reducer = _jacobian_reducer(n)
+        assert jacobian_space(n) == per_variable_jacobian_space(n)
+        words, reducer = _x1_reducer(n)
         assert words == enumerate_polylinear_basis(xvars(n))
+        oracle = RowReducer(len(words))
+        for row in derivation_rows(n, V("x1")):
+            oracle.add(row)
         assert reducer.pivots == oracle.pivots
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_x1_kernel_has_dimension_double_factorial(self, n):
+        """The kernel of the x1 rows has dimension (2n-4)!! = 2^(n-2)*(n-2)!,
+        the number of stage-2 columns of `jacobian_space`.  This is a fact
+        measured here for n = 2..8, not a claim of the paper."""
+        words, reducer = _x1_reducer(n)
+        assert len(words) - reducer.rank == 2 ** (n - 2) * math.factorial(n - 2)
 
     @settings(max_examples=200)
     @given(st.data())

@@ -146,6 +146,24 @@ class TestAgainstDenseOracle:
         assert sparse.nullspace() == dense.nullspace()
 
     @settings(max_examples=300)
+    @given(st.data())
+    def test_residual(self, data):
+        ncols = data.draw(st.integers(1, 8))
+        small_rows = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(small_rows, max_size=8))
+        row = data.draw(small_rows)
+        sparse, dense = RowReducer(ncols), DenseRowReducer(ncols)
+        for r in rows:
+            sparse.add(r)
+            dense.add(r)
+        residual = sparse.residual({j: x for j, x in enumerate(row) if x})
+        assert all(v for v in residual.values())
+        assert residual.keys().isdisjoint(dense.pivots)
+        # row - residual is in the row space; row itself is when nothing is left
+        assert not dense.add([x - residual.get(j, 0) for j, x in enumerate(row)])
+        assert dense.add(row) == bool(residual)
+
+    @settings(max_examples=300)
     @given(matrices(), st.data())
     def test_solve(self, matrix, data):
         ncols, rows = matrix
