@@ -61,15 +61,19 @@ MAX_JACOBIAN_N = 6
 MAX_LIE_SPLITS = 2**17
 # Variables of `reduce` (after stripping bare factors) and `jacobian`.  The
 # input must be polylinear, so this is its leaf count, and a word of h + 1
-# letters has a derivation difference of 2^h terms.  The slowest shapes
-# (left- or right-normed words) take about 0.5 s to reduce at 7 variables
-# and 4 s at 8; the Jacobian test takes about 0.7 s at 16 and 1.7 s at 17.
+# letters has a derivation difference of 2^h terms.  The slowest shape
+# found, the left-normed word, takes 0.2-0.4 s as a `reduce` command at
+# 7 variables, and its reduction alone about 1.1 s at 8; the Jacobian
+# test takes about 0.7 s at 16 and 1.7 s at 17.
 MAX_REDUCE_VARIABLES = 7
 MAX_JACOBIAN_VARIABLES = 16
 # Terms the Jacobian test expands before cancellation: in each monomial a
-# variable at height h in its factor gives 2^h.  The bound is the count of
-# the left-normed 16-letter word, the largest of any single word at the
-# variable bound; a sum of two of them took about 2 s and is refused.
+# variable at height h in its factor gives 2^h.  A variable at height 1
+# counts 2, though its factor expands nothing (the Leibniz rule holds
+# there); the count stays until a work meter (ROADMAP item 8) replaces it.
+# The bound is the count of the left-normed 16-letter word, the largest of
+# any single word at the variable bound; a sum of two of them took about
+# 2 s and is refused.
 MAX_JACOBIAN_TERMS = 3 * 2**15 - 2
 # Terms `linearize` expands before it keeps the multilinear part: a
 # monomial where each variable v occurs d_v times gives at most the

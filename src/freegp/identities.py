@@ -17,7 +17,8 @@ s*{a1,{a2,...{ah,x}...}} it sends y*z to a sum over the ways of
 splitting the chain between y and z.  The two Leibniz terms are the
 splits that give y or z no operator, the only terms with a bare y or
 z; expanding the chain one bracket at a time on y*z and dropping them
-leaves 2^h - 2 terms of coefficient +-1 for fresh y and z.  That
+leaves 2^h - 2 terms of coefficient +-1 for fresh y and z, none at
+height 1, which is decided without expanding anything.  That
 difference holds no x, so y = x only relabels it: D(f, x, x, z) alone
 decides derivations and is the next element of a height reduction.
 """
@@ -83,12 +84,6 @@ def jacobiator(a: ACPoly, b: ACPoly, c: ACPoly) -> ACPoly:
     )
 
 
-def _require_linear(f: GPPoly, x: Variable) -> None:
-    for m in f._terms:
-        if sum(w.count(x) for w in m) != 1:
-            raise ValueError(f"input is not linear in {x}")
-
-
 def _fresh_variable(f: GPPoly, like: Variable) -> Variable:
     top = max(v.index for v in f.variables() | {like})
     return Variable(like.base, top + 1)
@@ -104,15 +99,22 @@ def _chain(factors: Sequence[Word], p: GPPoly) -> GPPoly:
 
 
 def _factor_difference(w: Word, x: Variable, y: Word, z: Word) -> dict[Monomial, Coefficient]:
-    """Terms of the derivation difference of the single factor `w`.
+    """Terms of the derivation difference of the single factor `w`,
+    which must hold x exactly once: the caller checks, since the height-1
+    screen below would give 0 for {x,{a,x}}.
 
     With w = s*{a1,{a2,...{ah,x}...}} (`i_normal_form`) they are those
     of s*(chain(y*z) - y*chain(z) - z*chain(y)).  The chain is applied
     one bracket at a time, so chain(y*z) doubles its terms at each level
     and shares every prefix.  For h >= 1 the two Leibniz terms are its
     only terms with a degree-one factor, so dropping those terms
-    subtracts them; a bare factor x (h = 0) leaves -y*z.
+    subtracts them; a bare factor x (h = 0) leaves -y*z.  At h = 1, when
+    x is a child of the root, the Leibniz rule holds exactly and there
+    are 2^1 - 2 = 0 terms, so nothing is expanded.
     """
+    if not w.is_leaf and x in (w.left.var, w.right.var):
+        # w = s*{a, x} and {a, y*z} - y*{a, z} - z*{a, y} = 0
+        return {}
     op = i_normal_form(w, x)
     s = op.sign
     if not op.factors:
@@ -131,16 +133,24 @@ def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> G
     Linear in x, each monomial has one factor holding x, and only that
     factor changes: the monomial contributes its other factors times the
     difference of that factor alone (`_factor_difference`), which is
-    expanded once per distinct factor.
+    expanded once per distinct factor, and not at all when x is at
+    height 1 in it.  Linearity is checked in the same pass, before a
+    factor is expanded: a `ValueError` unless each monomial has exactly
+    one factor holding x and that factor holds it once.
     """
-    _require_linear(f, x)
     wy, wz = Word.leaf(y), Word.leaf(z)
     differences: dict[Word, dict[Monomial, Coefficient]] = {}
     acc: dict[Monomial, Coefficient] = {}
     for m, c in f._terms.items():
-        i = next(i for i, w in enumerate(m) if x in w.varset)
+        held = [i for i, w in enumerate(m) if x in w.varset]
+        if len(held) != 1:
+            raise ValueError(f"input is not linear in {x}")
+        i = held[0]
         terms = differences.get(m[i])
         if terms is None:
+            # a word whose leaves are distinct holds each of them once
+            if m[i].degree != len(m[i].varset) and m[i].count(x) != 1:
+                raise ValueError(f"input is not linear in {x}")
             terms = differences[m[i]] = _factor_difference(m[i], x, wy, wz)
         rest = m[:i] + m[i + 1 :]
         for k, d in terms.items():
@@ -400,8 +410,11 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
     before = farkas_height(g).total
     steps: list[ReductionStep] = []
     while True:
-        for v in sorted(g.variables()):
-            fresh = _fresh_variable(g, v)
+        variables = sorted(g.variables())
+        # the index `_fresh_variable` gives each v, found once per step
+        top = max((v.index for v in variables), default=0)
+        for v in variables:
+            fresh = Variable(v.base, top + 1)
             d = derivation_difference(g, v, v, fresh)
             if not d.is_zero():
                 break

@@ -87,9 +87,25 @@ class TestDerivationDifference:
         # direct expansion: both Leibniz cross terms survive
         assert d == gp("{x1,y1}*{x2,y2} + {x2,y1}*{x1,y2}")
 
-    def test_requires_linearity(self):
-        with pytest.raises(ValueError, match="not linear"):
-            derivation_difference(gp("{x1,x2} + x3"), V("x3"), V("y1"), V("y2"))
+    @pytest.mark.parametrize("text", [
+        "{x1,x3}*{x2,x3}",  # x in two factors, both at height 1
+        "{x3,{x1,x3}}",  # x twice in one word, at height 1 from the root
+        "{x1,x2} + x3",  # x missing from one monomial
+    ], ids=["two_factors", "twice_in_one_word", "missing_from_a_monomial"])
+    def test_requires_linearity(self, text, monkeypatch):
+        # the check comes before a factor is expanded: the height-1 screen
+        # would answer 0 for {x3,{x1,x3}}
+        expanded = []
+        factor_difference = freegp.identities._factor_difference
+
+        def spy(w, x, y, z):
+            expanded.append(w)
+            return factor_difference(w, x, y, z)
+
+        monkeypatch.setattr(freegp.identities, "_factor_difference", spy)
+        with pytest.raises(ValueError, match="input is not linear in x3"):
+            derivation_difference(gp(text), V("x3"), V("y1"), V("y2"))
+        assert all(w.count(V("x3")) == 1 for w in expanded)
 
     def test_reuse_of_x_as_y(self):
         d = derivation_difference(gp("{x1,{x2,x3}}"), V("x3"), V("x3"), V("x4"))
@@ -157,6 +173,44 @@ class TestDerivationDifference:
                     d = derivation_difference(GPPoly.from_factors((w,)), xi, y, z)
                     assert len(d._terms) == 2 ** height(w, xi) - 2
                     assert set(d._terms.values()) <= {1, -1}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_height_one_expands_nothing(self, n, monkeypatch):
+        # {a, x} is a derivation in x: its difference is decided without
+        # a single bracket, for fresh y and z and for the classification's
+        # y = x
+        calls = 0
+        bracket = GPPoly.bracket
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return bracket(self, other)
+
+        monkeypatch.setattr(GPPoly, "bracket", counted)
+        xs = xvars(n)
+        y, z = Word.leaf(Variable("x", n + 1)), Word.leaf(Variable("x", n + 2))
+        screened = 0
+        for w in enumerate_polylinear_basis(xs):
+            for xi in xs:
+                if height(w, xi) == 1:
+                    assert _factor_difference(w, xi, y, z) == {}
+                    assert _factor_difference(w, xi, Word.leaf(xi), z) == {}
+                    screened += 1
+        assert calls == 0
+        # xi is a child of the root of one basis word {a, xi} per normal
+        # word a on the other n - 1 letters: (2n-5)!! words per variable
+        assert screened == n * math.prod(range(2 * n - 5, 0, -2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(polylinear_gp_polys())
+    def test_matches_oracle_in_the_reduction_shape(self, f):
+        # the reduction's call: y = v and one fresh z, for each v of f
+        fresh = Variable("x", max(v.index for v in f.variables()) + 1)
+        for v in sorted(f.variables()):
+            assert derivation_difference(f, v, v, fresh) == substitution_derivation_difference(
+                f, v, v, fresh
+            )
 
     def test_deep_word_expands_each_prefix_once(self, monkeypatch):
         # x1 innermost under h = 16 brackets: about 2 s on a 2-vCPU VM.
