@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Variable",
@@ -57,9 +57,12 @@ def _coefficient(c) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    """A generator, written as a letter class plus an index (x1, t3, y12)."""
+class Variable(NamedTuple):
+    """A generator, written as a letter class plus an index (x1, t3, y12).
+
+    A named tuple: hashing, equality and the (base, index) order are the
+    tuple's own, done in C, and `hash(v) == hash((v.base, v.index))`.
+    """
 
     base: str
     index: int
@@ -103,7 +106,7 @@ class Word:
         w.degree = 1
         w.leaves = (v,)
         w.varset = frozenset((v,))
-        w.key = (1, (v.base, v.index))
+        w.key = (1, v)  # hashes and orders as (1, (v.base, v.index))
         w._hash = hash(w.key)
         return w
 

@@ -39,15 +39,18 @@ from .realize import Realization, evaluate_gp, identity_witness_search
 # random witness polynomial has O(m^2) terms over 2m variables.
 MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
-# Term pairs of one random `witness` attempt (`realize._attempt_size`),
-# checked on the parsed element after the structured attempt, which
-# costs little, and before any random one.  The slowest admitted shapes
-# found take about 1.7 s per command on a shared 2-vCPU VM, printing
-# included: {t1,{t2,t3}}*{t4,{t5,t6}}*{t7,{t8,t9}} + t1*t1 at m=8 under
-# poisson (not polylinear, so no structured attempt) and, at 1.3 s, the
-# 4-letter right-normed word at m=10 under gps.  The 6-letter
-# right-normed word at m=12 under gps scores 90.8 million and is
-# refused; J3 at m=12 scores 0.75 million.
+# Term pairs of the `--budget` random `witness` attempts, each estimated
+# by `realize._attempt_size`, checked on the parsed element after the
+# structured attempt, which costs little, and before any random one.
+# The slowest admitted shapes found take 0.9-1.7 s per command on a
+# shared 2-vCPU VM, printing included: {t1,{t2,t3}}*{t4,{t5,t6}}*{t7,{t8,t9}}
+# + t1*t1 at m=8 under poisson (not polylinear, so no structured attempt)
+# with one attempt and, at 1.3 s, the 4-letter right-normed word at m=10
+# under gps.  The 6-letter right-normed word at m=12 under gps scores
+# 90.8 million for one attempt and is refused.  J3 at m=12 scores 0.75
+# million per attempt under gps, where the structured attempt answers
+# first, and 91,950 under poisson, where Jacobi holds: 10 attempts
+# (0.4 s) are admitted and 11 refused.
 MAX_WITNESS_TERM_PAIRS = 1_000_000
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
 # 2-vCPU VM n=5 takes about 0.02 s, n=6 about 0.4 s and n=7 (10,395
@@ -62,8 +65,8 @@ MAX_LIE_SPLITS = 2**17
 # Variables of `reduce` (after stripping bare factors) and `jacobian`.  The
 # input must be polylinear, so this is its leaf count, and a word of h + 1
 # letters has a derivation difference of 2^h terms.  The slowest shape
-# found, the left-normed word, takes 0.2-0.4 s as a `reduce` command at
-# 7 variables, and its reduction alone about 1.1 s at 8; the Jacobian
+# found, the left-normed word, takes 0.15-0.25 s as a `reduce` command at
+# 7 variables, and its reduction alone about 0.4 s at 8; the Jacobian
 # test takes about 0.7 s at 16 and 1.7 s at 17.
 MAX_REDUCE_VARIABLES = 7
 MAX_JACOBIAN_VARIABLES = 16

@@ -360,14 +360,19 @@ def farkas_height(f: GPPoly) -> FarkasHeight:
             f"bare variable factor {bare[0]}; substitute 1 for bare factors first"
             " (strip_bare_factors)"
         )
+    per = _factor_degrees(f)
+    return FarkasHeight(dict(sorted(per.items())), sum(3**h for h in per.values()))
+
+
+def _factor_degrees(f: GPPoly) -> dict[Variable, int]:
+    """Max degree of the factor holding each variable, unchecked."""
     per: dict[Variable, int] = {}
     for m in f._terms:
         for w in m:
             for v in w.varset:
                 if per.get(v, 0) < w.degree:
                     per[v] = w.degree
-    total = sum(3**h for h in per.values())
-    return FarkasHeight(dict(sorted(per.items())), total)
+    return per
 
 
 def strip_bare_factors(f: GPPoly) -> GPPoly:
@@ -406,8 +411,13 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
         raise ValueError("reduction needs a polylinear input; linearize first")
     if _bare_factor_variables(f):
         raise ValueError("bare variable factors present; strip_bare_factors first")
+    # A difference of a polylinear element without bare factors is again
+    # one: each surviving monomial uses vars(g) and the fresh variable once
+    # each, and `_factor_difference` drops every term with a degree-one
+    # factor.  So the input is checked once, and each step's height is
+    # measured unchecked.
     g = f
-    before = farkas_height(g).total
+    before = sum(3**h for h in _factor_degrees(g).values())
     steps: list[ReductionStep] = []
     while True:
         variables = sorted(g.variables())
@@ -420,7 +430,7 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
                 break
         else:
             return g, steps
-        after = farkas_height(d).total
+        after = sum(3**h for h in _factor_degrees(d).values())
         if after >= before:
             raise ArithmeticError("total height failed to decrease")
         steps.append(ReductionStep(v, fresh, before, after))

@@ -269,7 +269,7 @@ def identity_witness_search(
     then seeded random polynomial assignments of degree <= 2; candidates
     are evaluated in a fixed order, so results are reproducible.  With
     `max_term_pairs`, raises `ValueError` before the first random attempt
-    when `_attempt_size` of one exceeds it.
+    when `budget` attempts of `_attempt_size` each exceed it.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -281,7 +281,7 @@ def identity_witness_search(
             if not value.is_zero():
                 return Witness(assignment, value, "structured", 0)
     if budget and max_term_pairs is not None:
-        size = _attempt_size(f, realization)
+        size = budget * _attempt_size(f, realization)
         if size > max_term_pairs:
             raise ValueError(f"term pairs={size} exceeds the bound {max_term_pairs}")
     rng = random.Random(seed)

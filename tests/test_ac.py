@@ -1,6 +1,7 @@
 """Free anti-commutative algebra: normal forms, heights, flips, bases."""
 
 import itertools
+import string
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,37 @@ from helpers import (
     word,
     xvars,
 )
+
+
+class TestVariable:
+    """A generator hashes, compares and sorts as its (base, index) pair, so
+    set and dict orders of variables do not depend on its type."""
+
+    def test_hash_is_the_pair_hash(self):
+        assert hash(Variable("x", 3)) == hash(("x", 3))
+
+    def test_order_is_base_then_index(self):
+        assert V("x2") < V("x10") and V("t9") < V("x1") and V("x9") < V("y1")
+        names = ["y1", "x10", "t9", "x2", "x1", "x9"]
+        assert [v.name for v in sorted(map(V, names))] == ["t9", "x1", "x2", "x9", "x10", "y1"]
+
+    @given(st.sampled_from(string.ascii_letters), st.integers(0, 10**12))
+    def test_parse_inverts_name(self, base, index):
+        v = Variable(base, index)
+        assert Variable.parse(v.name) == v
+
+    def test_immutable(self):
+        v = V("x1")
+        for attribute, value in (("base", "y"), ("index", 2), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(v, attribute, value)
+        assert v == V("x1")
+
+    def test_printed_as_its_name(self):
+        v = Variable("t", 12)
+        assert v.name == "t12"
+        assert repr(v) == str(v) == f"{v}" == "t12"
+        assert repr([v, V("x1")]) == "[t12, x1]"
 
 
 class TestNormalize:

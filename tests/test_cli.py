@@ -555,6 +555,17 @@ class TestErrorPaths:
         code, doc = run_json(capsys, "witness", "--model", "gps", "--m", "4", "--budget", "1", "t1*t2*t3*t4*t5*t6")
         assert code == 1 and "term pairs=" in doc["result"]
 
+    def test_witness_budget_past_the_bound_exit_1(self, capsys):
+        # J3 holds under poisson, so every attempt of the budget would run:
+        # 100 attempts of 91,950 term pairs each
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "witness", "--model", "poisson", "--m", "12", "--budget", "100", J3_T)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == "term pairs=9195000 exceeds the bound 1000000"
+        code, doc = run_json(capsys, "witness", "--model", "poisson", "--m", "12", "--budget", "1", J3_T)
+        assert code == 0 and doc["result"] == {"found": False, "attempts": 1}
+
     def test_budget_zero_is_not_bounded_by_the_attempt(self, capsys):
         # no random attempt runs, and the structured one costs little
         code, doc = run_json(capsys, "witness", "--model", "gps", "--m", "12", "--budget", "0", self.DEEP_WORD)
@@ -658,6 +669,9 @@ class TestDeterminism:
             # a random attempt through the realized bracket, and a realization
             ["witness", "--model", "poisson", "--m", "12", "--budget", "1", "--json", J3_T],
             ["realize", "--model", "gps", "--n", "2", *TestPinnedOutputs.ASSIGN, TestPinnedOutputs.REALIZE_EXPR],
+            # both sort and hash variables of several letter classes
+            ["reduce", "{y1,{x3,t2}}*{x10,{t1,y2}} - {{x10,y1},t2}*{x3,{t1,y2}}"],
+            ["farkas-height", "{y2,x10}*{t3,{x2,y1}}"],
         ]
         outputs = set()
         for hash_seed in ("0", "1", "2"):

@@ -411,6 +411,35 @@ class TestFarkasHeight:
         with pytest.raises(ValueError, match="bare"):
             farkas_height(gp("{x1,x2}*x3"))
 
+    @pytest.mark.parametrize("f, message", [
+        (GPPoly.zero(), "the zero polynomial has no height"),
+        (gp("{x1,{x1,x2}}"), "height needs a polylinear input"),
+        (gp("{x1,x2}*x3"), "bare variable factor x3; substitute 1 for bare factors first (strip_bare_factors)"),
+    ], ids=["zero", "not-polylinear", "bare-factor"])
+    def test_error_messages(self, f, message):
+        with pytest.raises(ValueError) as error:
+            farkas_height(f)
+        assert str(error.value) == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(polylinear_gp_polys(), st.integers(0, 2))
+    def test_reduction_step_heights(self, f, bare):
+        """The reduction checks its input once and each step's height not
+        at all; the checking `farkas_height` of the elements before and
+        after each step is the oracle."""
+        top = max(v.index for v in f.variables())
+        for i in range(1, bare + 1):
+            f = f * GPPoly.generator(V(f"x{top + i}"))
+        g = strip_bare_factors(f)
+        reduced, steps = jacobian_reduce_trace(g)
+        elements = [g]
+        for s in steps:
+            elements.append(derivation_difference(elements[-1], s.variable, s.variable, s.fresh))
+        assert elements[-1] == reduced
+        for s, before, after in zip(steps, elements, elements[1:]):
+            assert s.height_before == farkas_height(before).total
+            assert s.height_after == farkas_height(after).total
+
 
 class TestStripBareFactors:
     def test_mixed(self):

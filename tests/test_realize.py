@@ -389,6 +389,13 @@ class TestWitnessSearch:
         w = identity_witness_search(f, r, budget=1, seed=5, max_term_pairs=_attempt_size(f, r))
         assert w is not None and w.method == "random"
 
+    def test_attempt_bound_counts_every_attempt_of_the_budget(self):
+        f, r = gp(J3_T_TEXT), Realization("poisson", 2)  # never found: Jacobi holds
+        size = _attempt_size(f, r)
+        with pytest.raises(ValueError, match=f"term pairs={3 * size} exceeds the bound {3 * size - 1}"):
+            identity_witness_search(f, r, budget=3, max_term_pairs=3 * size - 1)
+        assert identity_witness_search(f, r, budget=3, max_term_pairs=3 * size) is None
+
     def test_random_phase_is_deterministic(self):
         f = gp("{t1,{t2,{t3,t4}}}")  # no structured plan applies
         r = Realization("gps", 2)
