@@ -33,24 +33,27 @@ from .parsing import (
     to_poly,
 )
 from .assoc import is_lie_element
-from .realize import Realization, evaluate_gp, identity_witness_search
+from .realize import Realization, _attempt_size, evaluate_gp, identity_witness_search
 
 # Bounds on the sizes that set the work of `realize` and `witness`: the
 # random witness polynomial has O(m^2) terms over 2m variables.
 MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
+# Without `--budget`, witness makes as many random attempts as
+# MAX_WITNESS_TERM_PAIRS admits, up to this many.
+DEFAULT_BUDGET = 200
 # Term pairs of the `--budget` random `witness` attempts, each estimated
 # by `realize._attempt_size`, checked on the parsed element after the
 # structured attempt, which costs little, and before any random one.
-# The slowest admitted shapes found take 0.9-1.7 s per command on a
+# The slowest admitted shapes found take 0.8-1.4 s per command on a
 # shared 2-vCPU VM, printing included: {t1,{t2,t3}}*{t4,{t5,t6}}*{t7,{t8,t9}}
 # + t1*t1 at m=8 under poisson (not polylinear, so no structured attempt)
-# with one attempt and, at 1.3 s, the 4-letter right-normed word at m=10
-# under gps.  The 6-letter right-normed word at m=12 under gps scores
-# 90.8 million for one attempt and is refused.  J3 at m=12 scores 0.75
-# million per attempt under gps, where the structured attempt answers
-# first, and 91,950 under poisson, where Jacobi holds: 10 attempts
-# (0.4 s) are admitted and 11 refused.
+# with one attempt, 1.1-1.4 s, and the 4-letter right-normed word at m=10
+# under gps, 0.8-1.0 s.  The 6-letter right-normed word at m=12 under gps
+# scores 90.8 million for one attempt and is refused.  J3 at m=12 scores
+# 0.75 million per attempt under gps, where the structured attempt
+# answers first, and 91,950 under poisson, where Jacobi holds: 10
+# attempts (0.4-0.5 s) are admitted and 11 refused.
 MAX_WITNESS_TERM_PAIRS = 1_000_000
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
 # 2-vCPU VM n=5 takes about 0.02 s, n=6 about 0.4 s and n=7 (10,395
@@ -155,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", parents=[common], help="search for a non-identity witness")
     p.add_argument("--model", choices=["poisson", "gps"], default="gps")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=int)
     p.add_argument("expr")
 
     return parser
@@ -305,15 +308,21 @@ def _cmd_realize(args):
 
 def _cmd_witness(args):
     _check_bound("--m", args.m, MAX_SIZE)
-    _check_bound("--budget", args.budget, MAX_BUDGET)
+    budget = args.budget
+    if budget is not None:
+        _check_bound("--budget", budget, MAX_BUDGET)
     realization = Realization(args.model, args.m)
     seed = args.seed if args.seed is not None else 0
+    f = to_gp(parse(args.expr))
+    if budget is None:
+        # when not even one attempt fits, the search refuses the default
+        fits = MAX_WITNESS_TERM_PAIRS // max(_attempt_size(f, realization), 1)
+        budget = min(DEFAULT_BUDGET, fits) or DEFAULT_BUDGET
     witness = identity_witness_search(
-        to_gp(parse(args.expr)), realization, budget=args.budget, seed=seed,
-        max_term_pairs=MAX_WITNESS_TERM_PAIRS,
+        f, realization, budget=budget, seed=seed, max_term_pairs=MAX_WITNESS_TERM_PAIRS,
     )
     if witness is None:
-        return {"found": False, "attempts": args.budget}, ["not found"]
+        return {"found": False, "attempts": budget}, ["not found"]
     # each polynomial is printed once, for both forms of the output
     assignment = {v.name: repr(r) for v, r in sorted(witness.assignment.items())}
     value = repr(witness.value)

@@ -16,9 +16,11 @@ Rational functions keep numerator and denominator unreduced; equality
 and zero tests go through numerator cross-multiplication, so no
 multivariate gcd is ever needed.  An optional content normalization
 bounds growth and fixes signs for printing.  Realizations compute in
-`MultiPoly`, whose `_pair_bracket` is the realized bracket in one pass
-over the term pairs; a `RatFunc` operand takes over any mixed product or
-sum through its reflected operators.
+`MultiPoly`, whose `_pair_bracket` is the realized bracket: each operand
+lists once which of its terms hold each variable, and each derivation
+pair then meets only the terms holding its x in one operand with those
+holding its y in the other, all into one dict; a `RatFunc` operand takes
+over any mixed product or sum through its reflected operators.
 """
 
 from __future__ import annotations
@@ -163,34 +165,66 @@ class MultiPoly(Linear):
         v_t * (d_x(self) d_y(other) - d_x(other) d_y(self)), where v_t is
         variable t, or 1 when t is None.
 
-        One pass over the term pairs: a term pair of exponents e, f adds
-        c1*c2*(e_x*f_y - f_x*e_y) at the monomial key k1 + k2 - unit(x) -
-        unit(y) + unit(t); the zeros are dropped once at the end.  Both
-        polynomials must be over the same variable tuple.
+        Each operand first lists, per variable it holds, the terms that
+        hold it (`_derivative_lists`).  A term pair of exponents e, f then
+        adds c1*c2*(e_x*f_y - f_x*e_y) at the monomial key k1 + k2 -
+        unit(x) - unit(y) + unit(t), read from the x list of one operand
+        and the y list of the other; the zeros are dropped once at the
+        end.  Both polynomials must be over the same variable tuple.
         """
         twisted = any(t is not None for _, _, t in pairs)
         bound = self._bound + other._bound + twisted
         if bound > MAX_EXPONENT:
             raise ValueError(f"a bracket exponent could exceed {MAX_EXPONENT}")
         n = len(self.vars)
-        a, b = self._terms.items(), other._terms.items()
+        a, b = self._derivative_lists(), other._derivative_lists()
         acc: dict[int, Coefficient] = {}
         get = acc.get
         for x, y, t in pairs:
             sx, sy = _BITS * (n - 1 - x), _BITS * (n - 1 - y)
             shift = (0 if t is None else self._unit(t)) - self._unit(x) - self._unit(y)
-            # the twist and both units ride on the d_x keys, so that k1 + k2
-            # is the output key
             for p, q, sign in ((a, b, 1), (b, a, -1)):
-                dx = [(k + shift, sign * c * e) for k, c in p if (e := k >> sx & _MASK)]
-                if dx:
-                    dy = [(k, c * e) for k, c in q if (e := k >> sy & _MASK)]
-                    for k1, c1 in dx:
-                        for k2, c2 in dy:
-                            acc[k1 + k2] = get(k1 + k2, 0) + c1 * c2
+                dx, dy = p.get(sx), q.get(sy)
+                if dx and dy:
+                    keys1, coefficients1 = dx
+                    keys2, coefficients2 = dy
+                    for k1, c1 in zip(keys1, coefficients1):
+                        # the twist, both units and the sign ride on the
+                        # d_x term, so that k1 + k2 is the output key
+                        k1 += shift
+                        c1 *= sign
+                        for k2, c2 in zip(keys2, coefficients2):
+                            k = k1 + k2
+                            acc[k] = get(k, 0) + c1 * c2
         out = self._new({k: c for k, c in acc.items() if c})
         if out._terms:
             out._bound = bound
+        return out
+
+    def _derivative_lists(self) -> dict[int, tuple[list[int], list[Coefficient]]]:
+        """By the shift of each exponent field that some term holds: the
+        keys of the terms holding it and their coefficients times its
+        exponent, in term order.
+
+        A term costs its number of variables: the walk takes the highest
+        nonzero field of the key and clears it until none is left.  Only
+        the fields of variables present get lists.
+        """
+        fields = (1 << _BITS * len(self.vars)) - 1  # all but the degree
+        out: dict[int, tuple[list[int], list[Coefficient]]] = {}
+        get = out.get
+        for k, c in self._terms.items():
+            rest = k & fields
+            while rest:
+                s = (rest.bit_length() - 1) & -_BITS
+                e = rest >> s
+                rest ^= e << s
+                lists = get(s)
+                if lists is None:
+                    out[s] = ([k], [c * e])
+                else:
+                    lists[0].append(k)
+                    lists[1].append(c * e)
         return out
 
     def derivative(self, name: str) -> "MultiPoly":

@@ -11,11 +11,13 @@ the y variables, certifying non-identities.
 
 Both derivations and the product keep polynomials, so evaluation is in
 the polynomial ring: `MultiPoly` in, `MultiPoly` out.  The bracket is
-one fused pass over the packed monomials of both operands
-(`MultiPoly._pair_bracket`): for each pair it reads the x_i and y_i
-exponents of every term pair and accumulates the whole sum into one
-dict, with no derivative polynomials or partial sums.  A realization
-supplies only the variable indices of its pairs and twists.
+one fused kernel over the packed monomials of both operands
+(`MultiPoly._pair_bracket`): each operand lists once, per variable, the
+terms that hold it with their derivative coefficients, and each pair i
+multiplies the x_i list of one operand with the y_i list of the other,
+accumulating the whole sum into one dict, with no derivative
+polynomials or partial sums.  A realization supplies only the variable
+indices of its pairs and twists.
 Rational-function inputs (`freegp.ratfunc.RatFunc`) are accepted as well
 and give a `RatFunc` back: {p/q, r/s} reduces to four polynomial
 brackets by the quotient rule of a biderivation.  `evaluate_gp` is the
@@ -95,7 +97,8 @@ def realized_bracket(
     a: MultiPoly | RatFunc, b: MultiPoly | RatFunc, realization: Realization
 ) -> MultiPoly | RatFunc:
     """{a,b} = sum_i d_i(a) d'_i(b) - d_i(b) d'_i(a) over the derivation
-    pairs of the realization, in one pass over the term pairs of a and b.
+    pairs of the realization, over the term pairs of a and b that hold
+    a pair's variables.
 
     A `RatFunc` operand {p/q, r/s} reduces to polynomial brackets by the
     quotient rule of a biderivation:

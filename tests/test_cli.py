@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, JSON schema, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from freegp.cli import (
+    DEFAULT_BUDGET,
     MAX_BUDGET,
     MAX_JACOBIAN_N,
     MAX_JACOBIAN_TERMS,
@@ -566,6 +568,28 @@ class TestErrorPaths:
         code, doc = run_json(capsys, "witness", "--model", "poisson", "--m", "12", "--budget", "1", J3_T)
         assert code == 0 and doc["result"] == {"found": False, "attempts": 1}
 
+    @pytest.mark.parametrize("m, attempts", [(2, 200), (5, 130), (12, 10)])
+    def test_default_budget_is_what_the_bound_admits(self, capsys, m, attempts):
+        # J3 holds under poisson, so every attempt runs: min(200, bound //
+        # attempt size), and the result reports the budget it used
+        assert DEFAULT_BUDGET == 200
+        size = _attempt_size(to_gp(parse(J3_T)), Realization("poisson", m))
+        assert attempts == min(DEFAULT_BUDGET, MAX_WITNESS_TERM_PAIRS // size)
+        code, doc = run_json(capsys, "witness", "--model", "poisson", "--m", str(m), J3_T)
+        assert code == 0 and doc["result"] == {"found": False, "attempts": attempts}
+
+    def test_explicit_budget_is_checked_as_given(self, capsys):
+        code, doc = run_json(capsys, "witness", "--model", "poisson", "--m", "5", "--budget", "200", J3_T)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == "term pairs=1531200 exceeds the bound 1000000"
+
+    def test_default_budget_refused_when_no_attempt_fits(self, capsys):
+        # 200 attempts of 90,762,150 term pairs each, as an explicit
+        # --budget 200 would be refused
+        code, doc = run_json(capsys, "witness", "--model", "gps", "--m", "12", self.DEEP_WORD)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["result"] == "term pairs=18152430000 exceeds the bound 1000000"
+
     def test_budget_zero_is_not_bounded_by_the_attempt(self, capsys):
         # no random attempt runs, and the structured one costs little
         code, doc = run_json(capsys, "witness", "--model", "gps", "--m", "12", "--budget", "0", self.DEEP_WORD)
@@ -708,6 +732,14 @@ class TestPinnedOutputs:
     def test_json_bytes(self, capsys, argv, expected):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0 and out == expected + "\n"
+
+    def test_json_digest_of_a_random_attempt_at_m8(self, capsys):
+        # 16 variables, and a value of degree 5 with 18,570 terms: the
+        # SHA-256 of the 345,170 bytes
+        argv = ("witness", "--model", "gps", "--m", "8", "--seed", "1", "--budget", "1", "{t1,{t2,{t3,t4}}}", "--json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith('{"command": "witness", "status": "ok", "result": {"found": true, "method": "random", "attempts": 1,')
+        assert hashlib.sha256(out.encode()).hexdigest() == "be534e381f2cb17060de87a4e61cb5a206a375c76051fa896d150e91b75ecf8a"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

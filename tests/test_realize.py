@@ -153,6 +153,15 @@ def polynomials(realization):
     )
 
 
+def edge_monomials(realization, exponents):
+    """Exponent tuples with an exponent from `exponents`, or 0, in the first
+    (most significant) and the last field, and 0..2 in the fields between."""
+    n = len(realization.var_names)
+    edge = exponents | st.just(0)
+    between = st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n - 2, max_size=n - 2)
+    return st.tuples(edge, between, edge).map(lambda t: (t[0], *t[1], t[2]))
+
+
 def fractions(realization):
     """A `RatFunc` over a nonconstant denominator of one or two terms."""
     return st.builds(RatFunc, polynomials(realization), _terms(realization, _monomials(realization, 1), 2))
@@ -187,6 +196,40 @@ class TestFusedBracketAgainstPerPairOracle:
         got = realized_bracket(a, b, r)
         assert got == derivation_pair_bracket(a, b, r)
         assert not got.is_zero()
+
+    @pytest.mark.parametrize("kind", ["poisson", "gps"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_twelve_pairs_sparse_terms(self, kind, data):
+        # terms holding one to three of the 24 variables
+        r = Realization(kind, 12)
+        a, b = data.draw(nonconstant(r)), data.draw(nonconstant(r))
+        for x, y in ((a, b), (b, a)):
+            assert realized_bracket(x, y, r) == derivation_pair_bracket(x, y, r)
+
+    @pytest.mark.parametrize("kind", ["poisson", "gps"])
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2, 12]), data=st.data())
+    def test_exponents_in_the_first_and_last_field(self, kind, n, data):
+        # one operand reaches 2^15 and above in x1 and y_n; the other stays
+        # small, so that the bracket keeps within MAX_EXPONENT
+        r = Realization(kind, n)
+        a = data.draw(_terms(r, edge_monomials(r, st.integers(2**15, MAX_EXPONENT - 4)), 3))
+        b = data.draw(_terms(r, edge_monomials(r, st.integers(1, 3)), 3))
+        for x, y in ((a, b), (b, a)):
+            assert realized_bracket(x, y, r) == derivation_pair_bracket(x, y, r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_pair_twisted_by_its_own_y1(self, data):
+        # at n = 1 the twist of the only pair is its own y1, so the gps
+        # bracket is y1 times the poisson one
+        gps, poisson = Realization("gps", 1), Realization("poisson", 1)
+        a = data.draw(_terms(gps, edge_monomials(gps, st.integers(1, 2**15 + 3)), 4))
+        b = data.draw(_terms(gps, edge_monomials(gps, st.integers(1, 3)), 4))
+        got = realized_bracket(a, b, gps)
+        assert got == derivation_pair_bracket(a, b, gps)
+        assert got == gps.variable("y1") * realized_bracket(a, b, poisson)
 
     @pytest.mark.parametrize("kind", ["poisson", "gps"])
     @settings(max_examples=40, deadline=None)
