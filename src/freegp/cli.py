@@ -68,8 +68,8 @@ MAX_LIE_SPLITS = 2**17
 # Variables of `reduce` (after stripping bare factors) and `jacobian`.  The
 # input must be polylinear, so this is its leaf count, and a word of h + 1
 # letters has a derivation difference of 2^h terms.  The slowest shape
-# found, the left-normed word, takes 0.15-0.25 s as a `reduce` command at
-# 7 variables, and its reduction alone about 0.4 s at 8; the Jacobian
+# found, the left-normed word, takes 0.24-0.29 s as a `reduce` command at
+# 7 variables, and its reduction alone about 0.5 s at 8; the Jacobian
 # test takes about 0.7 s at 16 and 1.7 s at 17.
 MAX_REDUCE_VARIABLES = 7
 MAX_JACOBIAN_VARIABLES = 16

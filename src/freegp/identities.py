@@ -21,6 +21,11 @@ leaves 2^h - 2 terms of coefficient +-1 for fresh y and z, none at
 height 1, which is decided without expanding anything.  That
 difference holds no x, so y = x only relabels it: D(f, x, x, z) alone
 decides derivations and is the next element of a height reduction.
+
+The height-1 screen also decides whole elements: a variable that is a
+leaf child of its factor's root in every monomial has a zero difference.
+So the Jacobian test and height reduction compute only the differences
+of the variables that this screen leaves open (`_leibniz_open`).
 """
 
 from __future__ import annotations
@@ -163,14 +168,38 @@ def is_derivation_in(f: GPPoly, x: Variable) -> bool:
     return derivation_difference(f, x, x, _fresh_variable(f, x)).is_zero()
 
 
+def _leibniz_open(f: GPPoly) -> list[Variable]:
+    """The variables of the polylinear f, sorted, that are not a leaf
+    child of their factor's root in some monomial; a bare factor's
+    variable is one.  For every other v, D(f, v, v, z) is zero exactly,
+    each monomial's factor difference being zero (`_factor_difference`).
+    One pass over the distinct factor words.
+    """
+    open_: set[Variable] = set()
+    for w in f.factor_words():
+        if w.is_leaf:
+            open_.add(w.var)
+        else:
+            open_.update(w.varset.difference((w.left.var, w.right.var)))
+    return sorted(open_)
+
+
 def is_jacobian(f: GPPoly) -> bool:
     """True when f is a derivation in every variable of its support.
 
-    Requires a polylinear input; a constant is vacuously Jacobian.
+    Requires a polylinear input; a constant is vacuously Jacobian.  Only
+    the variables that the height-1 screen leaves open are tested
+    (`_leibniz_open`): f is a derivation in every other one by the
+    Leibniz rule.  f is polylinear, so any one monomial holds every
+    variable, and the fresh index is read from one.
     """
     if not is_polylinear(f):
         raise ValueError("Jacobian test needs a polylinear input; linearize first")
-    return all(is_derivation_in(f, v) for v in sorted(f.variables()))
+    top = max((v.index for w in next(iter(f._terms), ()) for v in w.leaves), default=0)
+    return all(
+        derivation_difference(f, v, v, Variable(v.base, top + 1)).is_zero()
+        for v in _leibniz_open(f)
+    )
 
 
 def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
@@ -403,7 +432,9 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
 
     At each step the smallest variable v with a nonzero difference
     D(f, v, v, fresh) gives the next element; the total height strictly
-    decreases, which forces termination.
+    decreases, which forces termination.  Only the variables that the
+    height-1 screen leaves open are tried, in the same order
+    (`_leibniz_open`); the difference of every other one is zero exactly.
     """
     if f.is_zero():
         raise ValueError("cannot reduce the zero polynomial")
@@ -420,10 +451,10 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
     before = sum(3**h for h in _factor_degrees(g).values())
     steps: list[ReductionStep] = []
     while True:
-        variables = sorted(g.variables())
-        # the index `_fresh_variable` gives each v, found once per step
-        top = max((v.index for v in variables), default=0)
-        for v in variables:
+        # the index `_fresh_variable` gives each v, found once per step from
+        # one monomial: g is polylinear, so each monomial holds every variable
+        top = max((v.index for w in next(iter(g._terms)) for v in w.leaves), default=0)
+        for v in _leibniz_open(g):
             fresh = Variable(v.base, top + 1)
             d = derivation_difference(g, v, v, fresh)
             if not d.is_zero():

@@ -116,6 +116,19 @@ def substitution_derivation_difference(
     )
 
 
+def substitution_is_jacobian(f: GPPoly) -> bool:
+    """Test oracle for `freegp.identities.is_jacobian` on polylinear
+    input: every variable of the support is tested by substitution, with
+    two fresh variables, and none is skipped."""
+    top = max((v.index for v in f.variables()), default=0)
+    return all(
+        substitution_derivation_difference(
+            f, v, Variable(v.base, top + 1), Variable(v.base, top + 2)
+        ).is_zero()
+        for v in sorted(f.variables())
+    )
+
+
 def two_pass_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
     """Test oracle for `freegp.identities.jacobian_reduce_trace` on valid
     input: each step first finds the smallest variable v failing the

@@ -27,6 +27,7 @@ from freegp.gp import GPPoly, substitute
 from freegp.identities import (
     _block_element,
     _factor_difference,
+    _leibniz_open,
     _relabel,
     _x1_reducer,
     derivation_difference,
@@ -60,6 +61,7 @@ from helpers import (
     polylinear_gp_polys,
     solve_product_decompose,
     substitution_derivation_difference,
+    substitution_is_jacobian,
     two_pass_reduce_trace,
     word,
     xvars,
@@ -286,6 +288,48 @@ class TestIsJacobian:
     def test_product_of_jacobians(self):
         assert is_jacobian(gp("{x1,x2}*{x3,x4}"))
 
+    @settings(max_examples=150, deadline=None)
+    @given(polylinear_gp_polys(), st.integers(0, 2))
+    def test_matches_the_substitution_oracle(self, f, bare):
+        """Bare generators sit at height 0, so the screen must keep them."""
+        f = _times_bare_generators(f, bare)
+        assert is_jacobian(f) == substitution_is_jacobian(f)
+
+    def test_open_variables_that_cancel(self):
+        """x1..x3 are left open in J3 but their differences cancel, x4 is
+        screened out, so the first nonzero difference is that of x5."""
+        f = gp(J3_TEXT) * gp("{x4,{x5,x6}}")
+        assert _leibniz_open(f) == [V("x1"), V("x2"), V("x3"), V("x5"), V("x6")]
+        assert not is_jacobian(f) and not substitution_is_jacobian(f)
+        reduced, steps = jacobian_reduce_trace(f)
+        assert steps[0].variable == V("x5")
+        assert (reduced, steps) == two_pass_reduce_trace(f)
+
+
+def _times_bare_generators(f: GPPoly, bare: int) -> GPPoly:
+    """f times the generators after its variables, `bare` of them."""
+    top = max(v.index for v in f.variables())
+    for i in range(1, bare + 1):
+        f = f * GPPoly.generator(V(f"x{top + i}"))
+    return f
+
+
+class TestLeibnizOpen:
+    @settings(max_examples=150, deadline=None)
+    @given(polylinear_gp_polys(), st.integers(0, 2))
+    def test_screened_out_differences_vanish(self, f, bare):
+        f = _times_bare_generators(f, bare)
+        open_ = _leibniz_open(f)
+        assert open_ == sorted(set(open_))
+        assert set(open_) <= f.variables()
+        top = max(v.index for v in f.variables())
+        for v in sorted(f.variables() - set(open_)):
+            fresh = Variable(v.base, top + 1)
+            assert substitution_derivation_difference(f, v, v, fresh).is_zero()
+
+    def test_bare_generators_stay_open(self):
+        assert _leibniz_open(gp("{x1,x2}*x3")) == [V("x3")]
+
 
 class TestJacobianSpace:
     def test_dimensions(self):
@@ -427,10 +471,7 @@ class TestFarkasHeight:
         """The reduction checks its input once and each step's height not
         at all; the checking `farkas_height` of the elements before and
         after each step is the oracle."""
-        top = max(v.index for v in f.variables())
-        for i in range(1, bare + 1):
-            f = f * GPPoly.generator(V(f"x{top + i}"))
-        g = strip_bare_factors(f)
+        g = strip_bare_factors(_times_bare_generators(f, bare))
         reduced, steps = jacobian_reduce_trace(g)
         elements = [g]
         for s in steps:
