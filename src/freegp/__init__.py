@@ -43,6 +43,7 @@ from .identities import (
     jacobiator,
     linearize,
     multiplication_operator,
+    poisson_normal_form,
     strip_bare_factors,
 )
 from .parsing import ParseError, parse, to_ac, to_assoc, to_gp

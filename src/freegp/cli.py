@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .ac import Variable, flip, height
@@ -53,7 +54,8 @@ DEFAULT_BUDGET = 200
 # scores 90.8 million for one attempt and is refused.  J3 at m=12 scores
 # 0.75 million per attempt under gps, where the structured attempt
 # answers first, and 91,950 under poisson, where Jacobi holds: 10
-# attempts (0.4-0.5 s) are admitted and 11 refused.
+# attempts are admitted and 11 refused, and the Poisson normal form
+# answers without any.
 MAX_WITNESS_TERM_PAIRS = 1_000_000
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
 # 2-vCPU VM n=5 takes about 0.02 s, n=6 about 0.4 s and n=7 (10,395
@@ -415,7 +417,16 @@ def _run(argv) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): send the rest of the
+        # output, and the flush at exit, to devnull, and exit 1 quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

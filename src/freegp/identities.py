@@ -26,10 +26,16 @@ The height-1 screen also decides whole elements: a variable that is a
 leaf child of its factor's root in every monomial has a zero difference.
 So the Jacobian test and height reduction compute only the differences
 of the variables that this screen leaves open (`_leibniz_open`).
+
+Poisson identities are decided apart from all of this: a polylinear
+element is zero in every Poisson algebra exactly when its coordinates
+in the free Poisson algebra, read off commutator expansions in the free
+associative algebra, vanish (`poisson_normal_form`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -69,6 +75,7 @@ __all__ = [
     "multiplication_operator",
     "jacobian_space",
     "linearize",
+    "poisson_normal_form",
     "FarkasHeight",
     "farkas_height",
     "strip_bare_factors",
@@ -362,6 +369,104 @@ def linearize(f: GPPoly) -> GPPoly:
                 kept[m] = c
         result = GPPoly(kept)
     return result
+
+
+def _commutator_expansion(w: Word, rank: dict, cache: dict) -> list[tuple[tuple, int]]:
+    """The associative words of w under {a,b} = ab - ba with their
+    coefficients, each letter written as its `rank`, memoized per
+    subword.  For a word without repeated letters they are 2^(degree-1)
+    distinct words of coefficient +-1."""
+    got = cache.get(w)
+    if got is None:
+        if w.is_leaf:
+            got = [((rank[w.var],), 1)]
+        else:
+            left = _commutator_expansion(w.left, rank, cache)
+            right = _commutator_expansion(w.right, rank, cache)
+            got = [(u + v, c * d) for u, c in left for v, d in right]
+            got += [(v + u, -c * d) for u, c in left for v, d in right]
+        cache[w] = got
+    return got
+
+
+def _least_letter_words(w: Word, rank: dict, cache: dict) -> list[tuple[tuple, int]]:
+    """The words of w's commutator expansion that start with its least
+    letter: those of the side holding it, each followed by every word of
+    the other side, negated when that side is the right one."""
+    if w.is_leaf:
+        return [((rank[w.var],), 1)]
+    first, second, sign = w.left, w.right, 1
+    if min(second.varset) < min(first.varset):
+        first, second, sign = second, first, -1
+    head = _least_letter_words(first, rank, cache)
+    rest = _commutator_expansion(second, rank, cache)
+    return [(u + v, sign * c * d) for u, c in head for v, d in rest]
+
+
+def _poisson_form_size(f: GPPoly) -> int:
+    """A bound on the letters `poisson_normal_form` writes: the sum over
+    the monomials of f of their degree times the product over their
+    factors of 2^(degree-1), the words of their expansion."""
+    return sum(
+        sum(w.degree for w in m) * math.prod(1 << (w.degree - 1) for w in m) for m in f._terms
+    )
+
+
+def _poisson_coordinates(f: GPPoly) -> dict[tuple[tuple[int, ...], ...], Coefficient]:
+    """`poisson_normal_form` with each letter written as its place in
+    sorted(f.variables()): tuples of small ints hash fast and leave the
+    garbage collector little to trace."""
+    if not is_polylinear(f):
+        raise ValueError("the Poisson normal form needs a polylinear input")
+    rank = {v: i for i, v in enumerate(sorted(f.variables()))}
+    cache: dict[Word, list] = {}
+    coordinates: dict[Word, list] = {}
+    form: dict[tuple, Coefficient] = {}
+    for m, c in f._terms.items():
+        products = [((), c)]
+        for w in sorted(m, key=lambda w: min(w.varset)):
+            if w not in coordinates:
+                coordinates[w] = _least_letter_words(w, rank, cache)
+            products = [(key + (u,), a * d) for key, a in products for u, d in coordinates[w]]
+        for key, a in products:
+            _accumulate(form, key, a)
+    return form
+
+
+def poisson_normal_form(f: GPPoly) -> dict[tuple[tuple[Variable, ...], ...], Coefficient]:
+    """The image of a polylinear f in the free Poisson algebra, in
+    coordinates: empty exactly when f is a Poisson identity.
+
+    Each factor word maps to the coefficients of the words that start
+    with its least letter in its commutator expansion, and a monomial
+    to the products of its factors' coefficients, keyed by the tuple of
+    those words in the order of their first letters.
+
+    Why this decides Poisson identities: the free Poisson algebra is
+    S(L(X)), the symmetric algebra of the free Lie algebra (Shestakov and
+    Umirbaev, JAMS 2004), and f is an identity exactly when its image
+    there is zero.  The factors of a polylinear monomial hold disjoint
+    blocks of letters, so that image lies in the direct sum, over set
+    partitions of the letters, of the tensor products of the multilinear
+    parts L_B of the blocks B.  L embeds in the free associative algebra
+    by {a,b} -> ab - ba.  If a is the least letter of B, the left-normed
+    brackets {...{{a,b1},b2},...,bk} over the orders b1..bk of the rest
+    of B are a basis of L_B (Reutenauer, *Free Lie Algebras*, 1993), and
+    each one expands to a b1...bk plus words that do not start with a.
+    So the coefficients of the words starting with a are coordinates in
+    that basis, and the map is injective on L_B.  A tensor of disjoint
+    blocks then has as coordinates the products of its blocks' ones, and
+    sorting the blocks by their least letters makes the key canonical.
+
+    A factor of degree d expands to at most 2^(d-1) words, so the work
+    is exponential in the degree (`_poisson_form_size`).  Raises
+    `ValueError` on input that is not polylinear.
+    """
+    letters = sorted(f.variables())
+    return {
+        tuple(tuple(letters[i] for i in u) for u in key): c
+        for key, c in _poisson_coordinates(f).items()
+    }
 
 
 @dataclass(frozen=True)

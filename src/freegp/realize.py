@@ -22,6 +22,14 @@ Rational-function inputs (`freegp.ratfunc.RatFunc`) are accepted as well
 and give a `RatFunc` back: {p/q, r/s} reduces to four polynomial
 brackets by the quotient rule of a biderivation.  `evaluate_gp` is the
 GP homomorphism fold of `freegp.gp` with the realized bracket.
+
+`identity_witness_search` looks for an assignment with a nonzero value:
+a structured staggered one, then seeded random ones.  The commuting
+realization is a Poisson algebra, where a Poisson identity such as the
+jacobiator is zero under every assignment.  So under poisson a
+polylinear element whose `identities.poisson_normal_form` is zero gets
+None at once, with no random attempt, whenever the form costs less
+than one attempt.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from typing import Mapping
 
 from .ac import Variable
 from .gp import GPPoly, _homomorphism, _monomial_key, is_polylinear
+from .identities import _poisson_coordinates, _poisson_form_size
 from .ratfunc import MultiPoly, RatFunc
 
 __all__ = [
@@ -273,20 +282,37 @@ def identity_witness_search(
     are evaluated in a fixed order, so results are reproducible.  With
     `max_term_pairs`, raises `ValueError` before the first random attempt
     when `budget` attempts of `_attempt_size` each exceed it.
+
+    Under poisson a polylinear f then gets its `poisson_normal_form`
+    when the letters that form writes (`_poisson_form_size`) are no more
+    than the term pairs of one attempt.  A zero form returns None with
+    no random attempt, since a Poisson identity evaluates to zero in
+    this Poisson algebra.  A letter costs a fraction of a term pair, so
+    a nonzero form adds less than one attempt to the search; the letters
+    grow as 2^degree in each factor, so a long word never reaches it.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if is_polylinear(f):
+    polylinear = is_polylinear(f)
+    if polylinear:
         plan = _witness_plan(f)
         assignment = _staggered_assignment(plan, realization.n) if plan else None
         if assignment is not None:
             value = evaluate_gp(f, assignment, realization)
             if not value.is_zero():
                 return Witness(assignment, value, "structured", 0)
-    if budget and max_term_pairs is not None:
-        size = budget * _attempt_size(f, realization)
-        if size > max_term_pairs:
-            raise ValueError(f"term pairs={size} exceeds the bound {max_term_pairs}")
+    if not budget:
+        return None
+    size = _attempt_size(f, realization)
+    if max_term_pairs is not None and budget * size > max_term_pairs:
+        raise ValueError(f"term pairs={budget * size} exceeds the bound {max_term_pairs}")
+    if (
+        realization.kind == "poisson"
+        and polylinear
+        and _poisson_form_size(f) <= size
+        and not _poisson_coordinates(f)
+    ):
+        return None
     rng = random.Random(seed)
     names = realization.var_names
     variables = sorted(f.variables())

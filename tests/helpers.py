@@ -17,7 +17,7 @@ from freegp.ac import (
     enumerate_polylinear_basis,
     normalize_word,
 )
-from freegp.assoc import AssocPoly
+from freegp.assoc import AssocPoly, commutator
 from freegp.gp import GPPoly, Monomial, substitute
 from freegp.identities import (
     ProductDecomposition,
@@ -480,6 +480,31 @@ def derivation_pair_bracket(a, b, realization: Realization):
             - first_derivation(b, i) * second_derivation(a, i)
         )
     return total
+
+
+def commutator_expansion(w: Word) -> AssocPoly:
+    """The associative image of a bracket word, {a,b} -> ab - ba."""
+    if w.is_leaf:
+        return AssocPoly.letter(w.var)
+    return commutator(commutator_expansion(w.left), commutator_expansion(w.right))
+
+
+def full_expansion_form(f: GPPoly) -> dict[tuple[tuple, ...], Coefficient]:
+    """Test oracle for `identities.poisson_normal_form`: the same map,
+    keeping every word of each factor's commutator expansion.  The free
+    Lie algebra embeds in the free associative algebra, so this form is
+    zero exactly when f is a Poisson identity; the normal form is its
+    restriction to the keys whose words each start with their least
+    letter."""
+    form: dict[tuple[tuple, ...], Coefficient] = {}
+    for m, c in f._terms.items():
+        products = {(): c}
+        for w in sorted(m, key=lambda w: min(w.varset)):
+            words = commutator_expansion(w)._terms
+            products = {k + (u,): a * d for k, a in products.items() for u, d in words.items()}
+        for k, a in products.items():
+            _accumulate(form, k, a)
+    return form
 
 
 def _full_coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Coefficient]:

@@ -153,6 +153,33 @@ class TestConsoleScript:
         assert capsys.readouterr() == (out, err)
 
 
+class TestClosedStdout:
+    """A reader that closes the pipe early, as `| head -c 10` does, ends
+    the command with exit 1 and nothing on stderr, never a traceback."""
+
+    LONG_WORD = (
+        "{t1,{t2,{t3,{t4,{t5,{t6,{t7,{t8,{t9,{t10,{t11,{t12,{t13,{t14,{t15,"
+        "{t16,{t17,{t18,{t19,t20}}}}}}}}}}}}}}}}}}}"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "{x2,x1}"],  # one short line, written by the flush at exit
+        ["witness", "--model", "poisson", "--m", "12", LONG_WORD],  # 57 KB, in several writes
+    ], ids=["flush", "write"])
+    def test_closed_pipe_exit_1(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "freegp.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the interpreter has even started
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
 class TestJsonSchema:
     def test_field_names_and_seed(self, capsys):
         code, out, _ = run(capsys, "normalize", "x1", "--json", "--seed", "42")
@@ -558,8 +585,8 @@ class TestErrorPaths:
         assert code == 1 and "term pairs=" in doc["result"]
 
     def test_witness_budget_past_the_bound_exit_1(self, capsys):
-        # J3 holds under poisson, so every attempt of the budget would run:
-        # 100 attempts of 91,950 term pairs each
+        # the bound counts every attempt of the budget, here 100 of 91,950
+        # term pairs each, though J3, a Poisson identity, needs none
         start = time.perf_counter()
         code, doc = run_json(capsys, "witness", "--model", "poisson", "--m", "12", "--budget", "100", J3_T)
         assert time.perf_counter() - start < 1
@@ -570,8 +597,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("m, attempts", [(2, 200), (5, 130), (12, 10)])
     def test_default_budget_is_what_the_bound_admits(self, capsys, m, attempts):
-        # J3 holds under poisson, so every attempt runs: min(200, bound //
-        # attempt size), and the result reports the budget it used
+        # min(200, bound // attempt size); J3 is a Poisson identity, answered
+        # by its normal form, and the result reports the budget, not the
+        # attempts made
         assert DEFAULT_BUDGET == 200
         size = _attempt_size(to_gp(parse(J3_T)), Realization("poisson", m))
         assert attempts == min(DEFAULT_BUDGET, MAX_WITNESS_TERM_PAIRS // size)
@@ -690,8 +718,11 @@ class TestDeterminism:
             ["normalize", "{x3,{x2,x1}} + x2*{x4,x1} - x1*x2"],
             ["jacobian-space", "--n", "3"],
             ["witness", "--m", "4", J3_T],
-            # a random attempt through the realized bracket, and a realization
+            # J3 is answered by the Poisson normal form; the 4-letter word by
+            # a random attempt through the realized bracket
             ["witness", "--model", "poisson", "--m", "12", "--budget", "1", "--json", J3_T],
+            ["witness", "--model", "poisson", "--m", "4", "--budget", "1", "--json", "{t1,{t2,{t3,t4}}}"],
+            # a realization
             ["realize", "--model", "gps", "--n", "2", *TestPinnedOutputs.ASSIGN, TestPinnedOutputs.REALIZE_EXPR],
             # both sort and hash variables of several letter classes
             ["reduce", "{y1,{x3,t2}}*{x10,{t1,y2}} - {{x10,y1},t2}*{x3,{t1,y2}}"],

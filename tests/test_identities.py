@@ -16,6 +16,7 @@ from freegp.ac import (
     Variable,
     Word,
     _normal_form,
+    ac_bracket,
     enumerate_polylinear_basis,
     flip,
     height,
@@ -41,9 +42,11 @@ from freegp.identities import (
     jacobiator,
     linearize,
     multiplication_operator,
+    poisson_normal_form,
     strip_bare_factors,
 )
 from freegp.linalg import RowReducer
+from freegp.realize import Realization, _random_polynomial, evaluate_gp, identity_witness_search
 
 import helpers
 from helpers import (
@@ -53,6 +56,7 @@ from helpers import (
     acp,
     coefficients,
     derivation_rows,
+    full_expansion_form,
     gp,
     gp_polys,
     left_normed,
@@ -437,6 +441,129 @@ class TestLinearize:
             for k in range(2, d + 1):
                 factorial *= k
             assert back == factorial * f
+
+
+def seeded_word(letters, rng) -> ACPoly:
+    """A signed normal word on `letters`, each once, in a random order
+    and bracketing; nonzero, since the letters are distinct."""
+    order = list(letters)
+    rng.shuffle(order)
+
+    def tree(ls):
+        if len(ls) == 1:
+            return Word.leaf(ls[0])
+        k = rng.randint(1, len(ls) - 1)
+        return Word.node(tree(ls[:k]), tree(ls[k:]))
+
+    return normalize_word(tree(order))
+
+
+def split(letters, parts, rng) -> list[list[Variable]]:
+    """`letters` shuffled and cut into `parts` nonempty runs."""
+    order = list(letters)
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, len(order)), parts - 1))
+    return [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+
+
+def jacobi_consequence(rng) -> tuple[GPPoly, GPPoly]:
+    """(J, C): J the jacobiator of three random words on disjoint letters,
+    maybe times or bracketed with a fourth word; C the same with J
+    replaced by its first cyclic term {{a,b},c}, which is no identity."""
+    n = rng.randint(3, 7)
+    blocks = split(xvars(n), 3 if n == 3 else rng.choice([3, 4]), rng)
+    a, b, c = (seeded_word(block, rng) for block in blocks[:3])
+    j = GPPoly.from_ac(jacobiator(a, b, c))
+    first = GPPoly.from_ac(ac_bracket(ac_bracket(a, b), c))
+    if len(blocks) == 4:
+        d = GPPoly.from_ac(seeded_word(blocks[3], rng))
+        if rng.random() < 0.5:
+            return j * d, first * d
+        return j.bracket(d), first.bracket(d)
+    return j, first
+
+
+def relabeled(f: GPPoly, images) -> GPPoly:
+    return substitute(f, {v: GPPoly.generator(u) for v, u in images.items()})
+
+
+class TestPoissonNormalForm:
+    def test_documented_examples(self):
+        x1, x2, x3, x4 = xvars(4)
+        assert poisson_normal_form(gp(J3_TEXT)) == {}
+        assert poisson_normal_form(gp("{{x1,x2},x3}")) == {((x1, x2, x3),): 1}
+        # {x2,{x1,x3}} = x2 x1 x3 - x2 x3 x1 - x1 x3 x2 + x3 x1 x2
+        assert poisson_normal_form(gp("{x2,{x1,x3}}")) == {((x1, x3, x2),): -1}
+        # blocks in the order of their least letters
+        assert poisson_normal_form(gp("2*{x2,x3}*{x1,x4}")) == {((x1, x4), (x2, x3)): 2}
+        assert poisson_normal_form(gp("x2*x1")) == {((x1,), (x2,)): 1}
+        assert poisson_normal_form(GPPoly.constant(5)) == {(): 5}
+        assert poisson_normal_form(GPPoly.zero()) == {}
+
+    @pytest.mark.parametrize("text", ["x1*x1", "{x1,{x1,x2}}", "x1 + {x1,x2}", "{x1,x2} + 1"])
+    def test_not_polylinear_rejected(self, text):
+        with pytest.raises(ValueError, match="polylinear"):
+            poisson_normal_form(gp(text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(polylinear_gp_polys(max_vars=6))
+    def test_restricts_the_full_expansion(self, f):
+        full = full_expansion_form(f)
+        form = poisson_normal_form(f)
+        assert form == {k: c for k, c in full.items() if all(u[0] == min(u) for u in k)}
+        assert (not form) == (not full)
+
+    def test_jacobi_consequences_vanish(self):
+        rng = random.Random(11)
+        for _ in range(120):
+            j, first = jacobi_consequence(rng)
+            assert poisson_normal_form(j) == {} and full_expansion_form(j) == {}
+            assert poisson_normal_form(first) and full_expansion_form(first)
+            letters = sorted(j.variables())
+            permuted = dict(zip(letters, rng.sample(letters, len(letters))))
+            assert poisson_normal_form(relabeled(j, permuted)) == {}
+
+    def test_zero_form_evaluates_to_zero_under_poisson(self):
+        rng = random.Random(12)
+        r = Realization("poisson", 2)
+        for _ in range(25):
+            j, first = jacobi_consequence(rng)
+            assert not poisson_normal_form(j)
+            for _ in range(2):
+                images = {v: _random_polynomial(r.var_names, rng) for v in sorted(j.variables())}
+                assert evaluate_gp(j, images, r).is_zero()
+
+    def test_nonzero_form_has_a_poisson_witness(self):
+        rng = random.Random(13)
+        r = Realization("poisson", 6)
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            f = GPPoly.zero()
+            for _ in range(rng.randint(1, 3)):
+                term = GPPoly.constant(rng.choice([-2, -1, 1, 3]))
+                for block in split(xvars(n), rng.randint(1, max(1, n // 2)), rng):
+                    term = term * GPPoly.from_ac(seeded_word(block, rng))
+                f = f + term
+            if not poisson_normal_form(f):
+                continue
+            checked += 1
+            assert identity_witness_search(f, r, budget=3, seed=rng.randrange(2**31)) is not None, f
+        assert checked >= 30
+
+    @settings(max_examples=80, deadline=None)
+    @given(polylinear_gp_polys(max_vars=5), st.data())
+    def test_equivariant_under_relabeling(self, f, data):
+        letters = sorted(f.variables())
+        # keeping the order of the letters, the form is relabeled with f
+        images = {v: Variable("t", 2 * v.index + 1) for v in letters}
+        assert poisson_normal_form(relabeled(f, images)) == {
+            tuple(tuple(images[v] for v in u) for u in k): c
+            for k, c in poisson_normal_form(f).items()
+        }
+        # any permutation keeps it zero or nonzero
+        permuted = dict(zip(letters, data.draw(st.permutations(letters))))
+        assert bool(poisson_normal_form(relabeled(f, permuted))) == bool(poisson_normal_form(f))
 
 
 class TestFarkasHeight:

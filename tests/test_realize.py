@@ -1,5 +1,6 @@
 """Derivation-pair realizations: brackets, evaluation, witnesses."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import freegp.realize
 from freegp.ac import Variable
 from freegp.gp import GPPoly, substitute
+from freegp.identities import _poisson_form_size
 from freegp.ratfunc import MAX_EXPONENT, MultiPoly, RatFunc
 from freegp.realize import (
     Realization,
@@ -438,6 +441,54 @@ class TestWitnessSearch:
         with pytest.raises(ValueError, match=f"term pairs={3 * size} exceeds the bound {3 * size - 1}"):
             identity_witness_search(f, r, budget=3, max_term_pairs=3 * size - 1)
         assert identity_witness_search(f, r, budget=3, max_term_pairs=3 * size) is None
+
+    @pytest.mark.parametrize("m", [2, 4, 12])
+    def test_poisson_identity_is_answered_by_the_normal_form(self, monkeypatch, m):
+        calls = {"evaluate_gp": 0, "_random_polynomial": 0}
+        for name in calls:
+            original = getattr(freegp.realize, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(freegp.realize, name, counted)
+        assert identity_witness_search(gp(J3_T_TEXT), Realization("poisson", m), budget=50, seed=1) is None
+        # the structured attempt only; no random one
+        assert calls == {"evaluate_gp": 1, "_random_polynomial": 0}
+
+    def test_normal_form_guard_keeps_long_words_searching(self, monkeypatch):
+        f = gp("{t1,{t2,{t3,{t4,{t5,{t6,{t7,{t8,{t9,{t10,{t11,{t12,{t13,{t14,{t15,"
+               "{t16,{t17,{t18,{t19,t20}}}}}}}}}}}}}}}}}}}")
+        r = Realization("poisson", 1)
+        # 20 letters in each of 2^19 words, against 354 term pairs
+        assert (_poisson_form_size(f), _attempt_size(f, r)) == (20 * 2**19, 354)
+        form_calls = []
+        original = freegp.realize._poisson_coordinates
+        monkeypatch.setattr(
+            freegp.realize, "_poisson_coordinates", lambda g: form_calls.append(g) or original(g)
+        )
+        w = identity_witness_search(f, r, budget=200, seed=0)
+        assert form_calls == []
+        assert (w.method, w.attempts) == ("random", 1)
+        assert repr(w.value) == (
+            "-16814796963840*x1^2 - 16814796963840*x1*y1 - 25222195445760*y1^2"
+            " + 11511083433984*x1 - 25362884984832*y1 + 1579676663808"
+        )
+        rows = [f"{v.name}={p!r}" for v, p in sorted(w.assignment.items())]
+        digest = hashlib.sha256("\n".join(["random 1", *rows, repr(w.value)]).encode()).hexdigest()
+        assert digest == "3890ba75d3122a00c069ebd74ef43cf8775fa24db3812e966f47bacc67e11d9b"
+
+    def test_normal_form_guard_admits_the_jacobiator(self):
+        f = gp(J3_T_TEXT)
+        assert _poisson_form_size(f) == 3 * 12
+        for m in range(1, 13):
+            assert _poisson_form_size(f) <= _attempt_size(f, Realization("poisson", m))
+
+    def test_nonzero_normal_form_runs_the_random_phase(self):
+        f = gp("{t1,{t2,{t3,t4}}} + {t1,{t3,{t2,t4}}}")  # no structured plan applies
+        w = identity_witness_search(f, Realization("poisson", 2), budget=5, seed=3)
+        assert w is not None and w.method == "random"
 
     def test_random_phase_is_deterministic(self):
         f = gp("{t1,{t2,{t3,t4}}}")  # no structured plan applies
