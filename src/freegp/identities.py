@@ -27,6 +27,12 @@ leaf child of its factor's root in every monomial has a zero difference.
 So the Jacobian test and height reduction compute only the differences
 of the variables that this screen leaves open (`_leibniz_open`).
 
+The classification of Jacobian elements computes no difference at all:
+f is a derivation in x1 exactly when its multiplication operator on x1
+is a Lie element, so the kernel of x1 has an explicit left-normed basis,
+and relabeling carries its annihilator to every other variable
+(`jacobian_space`).
+
 Poisson identities are decided apart from all of this: a polylinear
 element is zero in every Poisson algebra exactly when its coordinates
 in the free Poisson algebra, read off commutator expansions in the free
@@ -35,10 +41,11 @@ associative algebra, vanish (`poisson_normal_form`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .ac import (
     ACPoly,
@@ -247,26 +254,79 @@ def _relabel(
     return got
 
 
-def _x1_reducer(n: int) -> tuple[list[Word], RowReducer]:
-    """The polylinear basis on x1..xn and the row reduction of the system
-    "D(w, x1, x1, x_{n+1}) vanishes" over it: stage 1 of `jacobian_space`.
+def _set_partitions(items: Sequence[Variable]) -> Iterator[list[tuple[Variable, ...]]]:
+    """The set partitions of `items`: each block in the order of `items`,
+    the blocks in the order of their first items."""
+    if not items:
+        yield []
+        return
+    *rest, last = items
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + (last,)] + part[i + 1 :]
+        yield part + [(last,)]
+
+
+def _friedrichs_basis(xs: Sequence[Variable], index: Mapping[Word, int]) -> list[dict[int, int]]:
+    """The left-normed basis of the kernel of D(., x1, x1, z) on the
+    polylinear words on `xs` = x1..xn, each vector as its nonzero word
+    coordinates (`index`); see `jacobian_space` for why it is one.
+
+    For each set partition of x2..xn, each choice of a normal word per
+    block, and each order of the blocks after a1, the block holding x2:
+    the commutator [...[[a1, a2], a3], ..., ak] in the free associative
+    algebra on the block words, each of its words u1...uk read as the
+    operator word {u1,{u2,...{uk,x1}...}} and normalized.
+    """
+    x1 = Word.leaf(xs[0])
+    block_words: dict[tuple[Variable, ...], list[Word]] = {}
+    rows = []
+    for part in _set_partitions(xs[1:]):
+        for block in part:
+            if block not in block_words:
+                block_words[block] = enumerate_polylinear_basis(block)
+        for letters in itertools.product(*(block_words[b] for b in part)):
+            for rest in itertools.permutations(letters[1:]):
+                words = [((letters[0],), 1)]
+                for a in rest:
+                    words = [(u + (a,), c) for u, c in words] + [((a,) + u, -c) for u, c in words]
+                row: dict[int, int] = {}
+                for u, c in words:
+                    w = x1
+                    for a in reversed(u):
+                        s, w = bracket_normal(a, w)
+                        c *= s
+                    row[index[w]] = c
+                rows.append(row)
+    return rows
+
+
+def _x1_kernel(n: int) -> tuple[list[Word], RowReducer]:
+    """Stage 1 of `jacobian_space`: the polylinear words on x1..xn, in
+    reverse order, and the reduced row-echelon form over them of the
+    basis of the kernel of D(., x1, x1, z) (`_friedrichs_basis`).
+
+    The order is reversed so that the pivots of that form are the free
+    columns of the reduced rows of x1: the pivots of a row space, taken
+    leftmost first, and those of its annihilator, taken rightmost first,
+    are complements.  The annihilator rows that stage 2 builds are then
+    exactly the reduced rows of x1, which are short and integral.
+    Raises `ArithmeticError` unless the rank is (2n-4)!!, the theorem's
+    dimension.
     """
     if n < 2:
         raise ValueError("need at least two variables")
     xs = [Variable("x", i) for i in range(1, n + 1)]
-    x1, z = xs[0], Word.leaf(Variable("x", n + 1))
-    words = enumerate_polylinear_basis(xs)
-    rows: dict[Monomial, dict[int, Coefficient]] = {}
-    for j, w in enumerate(words):
-        for m, c in _factor_difference(w, x1, Word.leaf(x1), z).items():
-            rows.setdefault(m, {})[j] = c
-    reducer = RowReducer(len(words))
-    for m in sorted(rows, key=lambda mono: tuple(w.key for w in mono)):
+    words = enumerate_polylinear_basis(xs)[::-1]
+    kernel = RowReducer(len(words))
+    for vec in _friedrichs_basis(xs, {w: j for j, w in enumerate(words)}):
         row = [0] * len(words)
-        for j, c in rows[m].items():
+        for j, c in vec.items():
             row[j] = c
-        reducer.add(row)
-    return words, reducer
+        kernel.add(row)
+    if kernel.rank != 2 ** (n - 2) * math.factorial(n - 2):
+        raise ArithmeticError(f"the kernel of x1 has rank {kernel.rank}, not (2n-4)!!")
+    return words, kernel
 
 
 def jacobian_space(n: int) -> list[ACPoly]:
@@ -274,61 +334,89 @@ def jacobian_space(n: int) -> list[ACPoly]:
 
     Solves the exact linear system "D(w, xi, xi, x_{n+1}) vanishes for
     each xi" over the basis of polylinear normal words w, in two stages.
-    Stage 1 reduces the rows of x1 alone (`_x1_reducer`); its free
-    columns are the coordinates of the kernel of x1.  Relabeling by the
+
+    Stage 1 writes down a basis of the kernel of x1 (`_x1_kernel`).  Let
+    M_f be `multiplication_operator(f, x1)`, each word of f written as
+    s*{u1,{u2,...{uk,x1}...}} and read as s*u1...uk in the free
+    associative algebra on the normal words.  Each {u, .} is a derivation
+    of the product, so u1...uk sends x1*z to the sum over the splits of
+    its letters into two subwords u', u'' of {u',x1}*{u'',z}, and
+    D(f, x1, x1, z) is the reduced coproduct of M_f (the splits with
+    u' and u'' both nonempty), each u' (x) u'' read as that monomial.
+    The operator form is a normal form, so distinct pairs give distinct
+    monomials up to sign: f is in the kernel exactly when M_f is
+    primitive, that is, by Friedrichs' criterion in characteristic 0,
+    a Lie element (K. O. Friedrichs, 1953).  The letters of a word of
+    M_f are normal words on the blocks of a set partition of x2..xn,
+    each used once, so the kernel is the direct sum, over partitions
+    and choices of block words a1..ak, of the multilinear Lie elements
+    in those letters.  With a1 the block holding x2, the left-normed
+    commutators [a1, a_s(2), ..., a_s(k)] over the orders s of the rest
+    are a basis of those (C. Reutenauer, *Free Lie Algebras*, 1993); so
+    the kernel has dimension sum over partitions p of (|p|-1)! times the
+    product over blocks B of (2|B|-3)!!.  With W(t) = 1 - sqrt(1 - 2t)
+    the exponential generating function of (2m-3)!!, that sum is the
+    coefficient of -log(1 - W(t)) = -log(1 - 2t)/2 at n-1 letters:
+    2^(n-2)*(n-2)! = (2n-4)!!.
+
+    Stage 2 (`_kernel_space`) imposes the other variables on that
+    kernel.  The row space of x1 is the annihilator of the kernel, one
+    row e_f - sum_p b_p[f]*e_p per free column f of the reduced basis
+    rows b_p, with e_p at the pivot of b_p.  Relabeling by the
     transposition (x1 xi), which fixes z = x_{n+1}, is an automorphism
-    sending D(f, x1, x1, z) to D(f', xi, xi, z) for the relabeled f'.  It
+    sending D(f, x1, x1, z) to D(f', xi, xi, z) for the relabeled f'; it
     sends basis word k to +-word j and, being an involution, word j back
-    to the same multiple of word k; so the row space of xi is that of x1
-    with column k moved to j and scaled by the sign, and the relabeled
-    pivot rows of stage 1 span it.  Stage 2 clears each of those rows
-    against stage 1 (`RowReducer.residual`), which leaves it on the free
-    columns, its values there being the row in kernel coordinates, and
-    reduces it there.  A stage-2 kernel vector c is the word vector with
-    c on the free columns and -sum_f prow_p[f]*c_f on each pivot p.  The
-    dimension is 1 for n = 2 and n = 3 and 0 beyond, so the primitive
-    integer vector of the space is unique.
+    to the same multiple of word k, so the relabeled annihilator rows
+    span the rows of xi.
+    Restricted to the kernel, a row r has coordinate r.b_p on b_p, and
+    the kernel of those restricted rows maps back to the words as
+    sum_p c_p*b_p.  The dimension is 1 for n = 2 and n = 3 and 0
+    beyond, so the primitive integer vector of the space is unique.
     """
-    return _x1_kernel_space(n, *_x1_reducer(n))
+    return _kernel_space(n, *_x1_kernel(n))
 
 
-def _x1_kernel_space(n: int, words: list[Word], x1_rows: RowReducer) -> list[ACPoly]:
-    """Stage 2 of `jacobian_space`, on stage 1's words and reduction."""
-    free = [j for j in range(len(words)) if j not in x1_rows.pivots]
-    coordinate = {j: f for f, j in enumerate(free)}
-    kernel = RowReducer(len(free))
+def _kernel_space(n: int, words: list[Word], kernel: RowReducer) -> list[ACPoly]:
+    """Stage 2 of `jacobian_space`, on stage 1's words and kernel basis."""
+    pivots = sorted(kernel.pivots)
+    basis = [kernel.pivots[p] for p in pivots]
+    holders: dict[int, list[tuple[int, Coefficient]]] = {}  # column j -> (p, b_p[j])
+    for p, brow in enumerate(basis):
+        for j, c in brow.items():
+            holders.setdefault(j, []).append((p, c))
+    # the row space of x1: e_f - sum_p b_p[f]*e_(pivot of b_p) per free column f
+    x1_rows = [
+        [(f, 1)] + [(pivots[p], -c) for p, c in holders.get(f, ())]
+        for f in range(len(words))
+        if f not in kernel.pivots
+    ]
     index = {w: j for j, w in enumerate(words)}
+    restricted = RowReducer(len(basis))
     x1 = Variable("x", 1)
     for i in range(2, n + 1):
         xi = Variable("x", i)
         images = {x1: xi, xi: x1}
         memo: dict[Word, tuple[int, Word]] = {}
         moved = [(index[u], s) for s, u in (_relabel(w, images, memo) for w in words)]
-        for prow in x1_rows.pivots.values():
-            relabeled = {}
-            for k, c in prow.items():
+        for r in x1_rows:
+            row: list[Coefficient] = [0] * len(basis)
+            for k, c in r:
                 j, s = moved[k]
-                relabeled[j] = s * c
-            row = [0] * len(free)
-            for j, c in x1_rows.residual(relabeled).items():
-                row[coordinate[j]] = c
-            kernel.add(row)
-            if kernel.rank == len(free):
+                for p, b in holders.get(j, ()):
+                    row[p] += s * c * b
+            restricted.add(row)
+            if restricted.rank == len(basis):
                 return []
-    basis = []
-    for vec in kernel.nullspace():
+    out = []
+    for vec in restricted.nullspace():
         full: list[Coefficient] = [0] * len(words)
-        for j, c in zip(free, vec):
-            full[j] = c
-        # every nonzero off the pivot of a reduced row is in a free column
-        for p, prow in x1_rows.pivots.items():
-            full[p] = -sum(c * full[j] for j, c in prow.items() if j != p)
-        acc: dict[Word, Coefficient] = {}
-        for j, c in enumerate(primitive_integer_vector(full)):
-            if c:
-                acc[words[j]] = c
-        basis.append(ACPoly(acc))
-    return basis
+        for c, brow in zip(vec, basis):
+            for j, b in brow.items():
+                full[j] += c * b
+        # reversed back to the words' own order, whose first nonzero is made positive
+        coordinates = primitive_integer_vector(full[::-1])
+        out.append(ACPoly({w: c for w, c in zip(reversed(words), coordinates) if c}))
+    return out
 
 
 def linearize(f: GPPoly) -> GPPoly:

@@ -28,9 +28,11 @@ from freegp.gp import GPPoly, substitute
 from freegp.identities import (
     _block_element,
     _factor_difference,
+    _friedrichs_basis,
     _leibniz_open,
     _relabel,
-    _x1_reducer,
+    _set_partitions,
+    _x1_kernel,
     derivation_difference,
     farkas_height,
     is_derivation_in,
@@ -361,21 +363,112 @@ class TestJacobianSpace:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_relabeled_rows_match_per_variable_rows(self, n):
+        """Stage 2 relabels the annihilator of the kernel basis: it is the
+        oracle's reduced rows of x1, and relabeled by (x1 xi) it spans the
+        oracle's rows of xi."""
         assert jacobian_space(n) == per_variable_jacobian_space(n)
-        words, reducer = _x1_reducer(n)
-        assert words == enumerate_polylinear_basis(xvars(n))
-        oracle = RowReducer(len(words))
-        for row in derivation_rows(n, V("x1")):
-            oracle.add(row)
-        assert reducer.pivots == oracle.pivots
+        words, kernel = _x1_kernel(n)
+        assert words == enumerate_polylinear_basis(xvars(n))[::-1]
+        in_order = words[::-1]
+        index = {w: j for j, w in enumerate(in_order)}
+        annihilator = [vec[::-1] for vec in kernel.nullspace()]
+        for xi in xvars(n):
+            images, memo = {V("x1"): xi, xi: V("x1")}, {}
+            relabeled = RowReducer(len(words))
+            for vec in annihilator:
+                row = [0] * len(words)
+                for k, c in enumerate(vec):
+                    s, u = _relabel(in_order[k], images, memo)
+                    row[index[u]] = s * c
+                relabeled.add(row)
+            oracle = RowReducer(len(words))
+            for row in derivation_rows(n, xi):
+                oracle.add(row)
+            assert relabeled.pivots == oracle.pivots
+            if xi == V("x1"):
+                # not only the span: the rows themselves are the oracle's reduced rows
+                dense = [[prow.get(j, 0) for j in range(len(words))] for prow in oracle.pivots.values()]
+                assert sorted(annihilator) == sorted(dense)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_x1_kernel_has_dimension_double_factorial(self, n):
         """The kernel of the x1 rows has dimension (2n-4)!! = 2^(n-2)*(n-2)!,
-        the number of stage-2 columns of `jacobian_space`.  This is a fact
-        measured here for n = 2..8, not a claim of the paper."""
-        words, reducer = _x1_reducer(n)
-        assert len(words) - reducer.rank == 2 ** (n - 2) * math.factorial(n - 2)
+        the number of stage-2 columns of `jacobian_space`, by the theorem
+        in its docstring: the left-normed basis has that many vectors, and
+        they are independent."""
+        xs = xvars(n)
+        words = enumerate_polylinear_basis(xs)
+        vectors = _friedrichs_basis(xs, {w: j for j, w in enumerate(words)})
+        reducer = RowReducer(len(words))
+        for vec in vectors:
+            reducer.add([vec.get(j, 0) for j in range(len(words))])
+        assert len(vectors) == reducer.rank == 2 ** (n - 2) * math.factorial(n - 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_kernel_basis_is_lie_and_in_the_oracle_kernel(self, n):
+        xs = xvars(n)
+        words = enumerate_polylinear_basis(xs)
+        rows = derivation_rows(n, V("x1"))
+        for vec in _friedrichs_basis(xs, {w: j for j, w in enumerate(words)}):
+            assert all(sum(row[j] * c for j, c in vec.items()) == 0 for row in rows)
+            f = ACPoly({words[j]: c for j, c in vec.items()})
+            assert is_lie_element(multiplication_operator(f, V("x1")))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_kernel_basis_reduces_to_the_oracle_kernel(self, n):
+        words = enumerate_polylinear_basis(xvars(n))
+        rows = RowReducer(len(words))
+        for row in derivation_rows(n, V("x1")):
+            rows.add(row)
+        oracle = RowReducer(len(words))
+        for vec in rows.nullspace():
+            oracle.add(vec)
+        index = {w: j for j, w in enumerate(words)}
+        kernel = RowReducer(len(words))
+        for vec in _friedrichs_basis(xvars(n), index):
+            kernel.add([vec.get(j, 0) for j in range(len(words))])
+        assert kernel.pivots == oracle.pivots
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_kernel_membership_is_the_derivation_test(self, data):
+        """A polylinear element is in the span of the kernel basis exactly
+        when it is a derivation in x1 (`is_derivation_in`, the oracle)."""
+        n = data.draw(st.integers(2, 5))
+        words, kernel = _x1_kernel(n)
+        vec = dict.fromkeys(range(len(words)), 0)
+        for brow in data.draw(st.lists(st.sampled_from(list(kernel.pivots.values())), max_size=3)):
+            c = data.draw(coefficients)
+            for j, b in brow.items():
+                vec[j] += c * b
+        for j in data.draw(st.lists(st.integers(0, len(words) - 1), max_size=2)):
+            vec[j] += data.draw(coefficients)
+        f = GPPoly.from_ac(ACPoly({words[j]: c for j, c in vec.items() if c}))
+        inside = not kernel.residual({j: c for j, c in vec.items() if c})
+        assert inside == is_derivation_in(f, V("x1"))
+
+    def test_rank_guard(self, monkeypatch):
+        build = freegp.identities._friedrichs_basis
+        monkeypatch.setattr(freegp.identities, "_friedrichs_basis", lambda *a: build(*a)[:-1])
+        with pytest.raises(ArithmeticError, match="rank"):
+            jacobian_space(4)
+
+    def test_no_derivation_difference_is_computed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the classification computed a derivation difference")
+
+        monkeypatch.setattr(freegp.identities, "_factor_difference", refuse)
+        assert [len(jacobian_space(n)) for n in (2, 3, 4, 5)] == [1, 1, 0, 0]
+
+    def test_set_partitions(self):
+        for size, bell in enumerate([1, 1, 2, 5, 15, 52, 203]):
+            items = xvars(size)
+            parts = list(_set_partitions(items))
+            assert len(parts) == len({tuple(p) for p in parts}) == bell
+            for part in parts:
+                assert sorted(v for block in part for v in block) == items
+                assert all(list(block) == sorted(block) for block in part)
+                assert [block[0] for block in part] == sorted(block[0] for block in part)
 
     @settings(max_examples=200)
     @given(st.data())
