@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -42,6 +43,8 @@ __all__ = [
     "is_polylinear",
     "enumerate_polylinear_basis",
     "format_linear",
+    "WorkLimit",
+    "WorkLimitExceeded",
 ]
 
 _VAR_RE = re.compile(r"([A-Za-z])([0-9]+)\Z")
@@ -178,6 +181,44 @@ def bracket_normal(u: Word, v: Word):
     return None  # keys are equal only for equal words
 
 
+class WorkLimitExceeded(ValueError):
+    """A metered computation would pass the bound of its `WorkLimit`."""
+
+
+class WorkLimit:
+    """A bound, in work units, on the kernel work inside a `with` block:
+    the first charge past `bound` raises `WorkLimitExceeded`, and `spent`
+    counts the units charged.  Each kernel loop charges once per call,
+    before it runs, its term pairs (or splits, or nonzeros) times the
+    longest key it builds; the count depends only on the operands, so a
+    bound refuses the same input on every machine and hash seed.
+    """
+
+    __slots__ = ("spent", "bound", "_token")
+
+    def __init__(self, bound: int):
+        self.spent, self.bound = 0, bound
+
+    def __enter__(self) -> "WorkLimit":
+        self._token = _meter.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _meter.reset(self._token)
+
+
+_meter: ContextVar[WorkLimit | None] = ContextVar("freegp_work_limit", default=None)
+
+
+def _charge(units: int) -> None:
+    """Spend `units` of the innermost `WorkLimit`; outside one, nothing."""
+    meter = _meter.get()
+    if meter is not None:
+        meter.spent += units
+        if meter.spent > meter.bound:
+            raise WorkLimitExceeded(f"work={meter.spent} exceeds the bound {meter.bound}")
+
+
 def _accumulate(acc: dict, key, delta: Coefficient) -> None:
     c = acc.get(key)
     if c is None:
@@ -232,6 +273,7 @@ class Linear:
         o = self._operand(other)
         if o is None:
             return NotImplemented
+        _charge(len(self._terms) + len(o._terms))
         acc = dict(self._terms)
         for k, c in o._terms.items():
             _accumulate(acc, k, c)
@@ -241,6 +283,7 @@ class Linear:
         o = self._operand(other)
         if o is None:
             return NotImplemented
+        _charge(len(self._terms) + len(o._terms))
         acc = dict(self._terms)
         for k, c in o._terms.items():
             _accumulate(acc, k, -c)
@@ -446,17 +489,22 @@ def flip_orbit(f: ACPoly, max_size: int = 1000) -> FlipOrbit:
     return FlipOrbit(tuple(out), False)
 
 
-def enumerate_polylinear_basis(variables: Sequence[Variable]) -> list[Word]:
-    """All normal words containing each given variable exactly once.
+def enumerate_polylinear_basis(
+    variables: Sequence[Variable], memo: dict[frozenset, list[Word]] | None = None
+) -> list[Word]:
+    """All normal words containing each given variable exactly once, in
+    the word order; there are (2n-3)!! of them for n >= 2 variables.
 
-    There are (2n-3)!! of them for n >= 2 variables.
+    A `memo` from the caller keeps those of every nonempty subset too,
+    each built on the way, keyed by its frozenset.
     """
     vs = tuple(variables)
     if not vs:
         raise ValueError("need at least one variable")
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate variables")
-    memo: dict[frozenset, list[Word]] = {}
+    if memo is None:
+        memo = {}
 
     def build(s: frozenset) -> list[Word]:
         got = memo.get(s)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .ac import Coefficient, Linear, _accumulate, _coefficient
+from .ac import Coefficient, Linear, _accumulate, _charge, _coefficient, _meter
 
 __all__ = [
     "AssocPoly",
@@ -89,9 +89,12 @@ class AssocPoly(Linear):
 
     def __mul__(self, other) -> "AssocPoly":
         if isinstance(other, AssocPoly):
+            a, b = self._terms, other._terms
+            if _meter.get() is not None:  # term pairs times the letters of the longest product
+                _charge(len(a) * len(b) * (max(map(len, a), default=0) + max(map(len, b), default=0)))
             acc: dict[tuple, Coefficient] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
+            for w1, c1 in a.items():
+                for w2, c2 in b.items():
                     _accumulate(acc, w1 + w2, c1 * c2)
             return self._new(acc)
         return super().__mul__(other)
@@ -118,6 +121,8 @@ def alternating_sum(m: int, letters: Sequence) -> AssocPoly:
 def _coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Coefficient]:
     """Proper part of the coproduct with every letter primitive, extended
     multiplicatively: each word split into two nonempty subsequences."""
+    if _meter.get() is not None:
+        _charge(sum(len(w) << len(w) for w in L._terms))  # splits times letters
     acc: dict[tuple[tuple, tuple], Coefficient] = {}
     for word, c in L._terms.items():
         k = len(word)

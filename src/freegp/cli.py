@@ -4,18 +4,20 @@ Exit codes: 0 ok, 1 domain error, 2 usage or parse error.  With --json
 a single document is written to stdout:
 
     {"command": ..., "status": "ok"|"error", "result": ..., "meta": {"seed": ...}}
+
+Every command runs under one work budget (`ac.WorkLimit`): the first
+kernel charge past WORK_BUDGET ends it with exit 1, "work=N exceeds the
+bound B".  Otherwise only `--n`, `--m`, `--budget` and nesting are bounded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .ac import Variable, flip, height
-from .gp import GPPoly, is_polylinear, variable_degrees
+from .ac import Variable, WorkLimit, flip, height
 from .identities import (
     farkas_height,
     is_jacobian,
@@ -26,7 +28,6 @@ from .identities import (
 )
 from .parsing import (
     ParseError,
-    _evaluate,
     gp_to_ac,
     parse,
     to_assoc,
@@ -34,60 +35,21 @@ from .parsing import (
     to_poly,
 )
 from .assoc import is_lie_element
-from .realize import Realization, _attempt_size, evaluate_gp, identity_witness_search
+from .realize import Realization, evaluate_gp, identity_witness_search
 
-# Bounds on the sizes that set the work of `realize` and `witness`: the
+# Bounds on the options that set the size of `realize` and `witness`: the
 # random witness polynomial has O(m^2) terms over 2m variables.
 MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
-# Without `--budget`, witness makes as many random attempts as
-# MAX_WITNESS_TERM_PAIRS admits, up to this many.
-DEFAULT_BUDGET = 200
-# Term pairs of the `--budget` random `witness` attempts, each estimated
-# by `realize._attempt_size`, checked on the parsed element after the
-# structured attempt, which costs little, and before any random one.
-# The slowest admitted shapes found take 0.8-1.4 s per command on a
-# shared 2-vCPU VM, printing included: {t1,{t2,t3}}*{t4,{t5,t6}}*{t7,{t8,t9}}
-# + t1*t1 at m=8 under poisson (not polylinear, so no structured attempt)
-# with one attempt, 1.1-1.4 s, and the 4-letter right-normed word at m=10
-# under gps, 0.8-1.0 s.  The 6-letter right-normed word at m=12 under gps
-# scores 90.8 million for one attempt and is refused.  J3 at m=12 scores
-# 0.75 million per attempt under gps, where the structured attempt
-# answers first, and 91,950 under poisson, where Jacobi holds: 10
-# attempts are admitted and 11 refused, and the Poisson normal form
-# answers without any.
-MAX_WITNESS_TERM_PAIRS = 1_000_000
+DEFAULT_BUDGET = 200  # witness without --budget
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
 # 2-vCPU VM n=5 takes about 0.01 s, n=6 about 0.2 s and n=7 (10,395
 # words) about 6 s and 61 MB peak RSS, too long for one command.
 MAX_JACOBIAN_N = 6
-# `lie-test` splits: over the words of the expansion before cancellation,
-# 2^(letters), a bound on the coproduct's splits; 2^17 is 256 words of 9
-# letters.  The slowest admitted shapes found, both at the bound, take
-# about 0.8 s (a 17-letter product) and 0.6 s (the 9-letter bracket) on a
-# shared 2-vCPU VM; the 10-letter bracket scores 524,288.
-MAX_LIE_SPLITS = 2**17
-# Variables of `reduce` (after stripping bare factors) and `jacobian`.  The
-# input must be polylinear, so this is its leaf count, and a word of h + 1
-# letters has a derivation difference of 2^h terms.  The slowest shape
-# found, the left-normed word, takes 0.24-0.29 s as a `reduce` command at
-# 7 variables, and its reduction alone about 0.5 s at 8; the Jacobian
-# test takes about 0.7 s at 16 and 1.7 s at 17.
-MAX_REDUCE_VARIABLES = 7
-MAX_JACOBIAN_VARIABLES = 16
-# Terms the Jacobian test expands before cancellation: in each monomial a
-# variable at height h in its factor gives 2^h.  A variable at height 1
-# counts 2, though its factor expands nothing (the Leibniz rule holds
-# there); the count stays until a work meter (ROADMAP item 8) replaces it.
-# The bound is the count of the left-normed 16-letter word, the largest of
-# any single word at the variable bound; a sum of two of them took about
-# 2 s and is refused.
-MAX_JACOBIAN_TERMS = 3 * 2**15 - 2
-# Terms `linearize` expands before it keeps the multilinear part: a
-# monomial where each variable v occurs d_v times gives at most the
-# product of d_v^d_v.  A degree-6 variable in a 12-letter word, the
-# slowest shape at the bound, takes about 2 s; degree 7 took 22 s.
-MAX_LINEARIZE_TERMS = 6**6
+# Work units (`ac.WorkLimit`) of one command.  The slowest input of the
+# earlier per-command bounds, the 17-letter `lie-test` product, spends
+# 2,228,377; a unit costs 0.1-1 us on a shared 2-vCPU VM, by kernel.
+WORK_BUDGET = 2_500_000
 
 # Options that take a value; `main` skips those values when it names the
 # subcommand of a command line it cannot parse.
@@ -160,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", parents=[common], help="search for a non-identity witness")
     p.add_argument("--model", choices=["poisson", "gps"], default="gps")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("expr")
 
     return parser
@@ -195,19 +157,8 @@ def _cmd_mul(args):
     return repr(value), None
 
 
-def _difference_size(f: GPPoly) -> int:
-    """Sum over the monomials of f, their factors w and the variables v
-    of w of 2^height(w, v); every v must occur in w once."""
-    sizes = {w: sum(2 ** height(w, v) for v in w.varset) for w in f.factor_words()}
-    return sum(sizes[w] for m in f.monomials() for w in m)
-
-
 def _cmd_jacobian(args):
-    f = to_gp(parse(args.expr))
-    _check_bound("variables", len(f.variables()), MAX_JACOBIAN_VARIABLES)
-    if is_polylinear(f):  # otherwise `is_jacobian` refuses it unexpanded
-        _check_bound("terms", _difference_size(f), MAX_JACOBIAN_TERMS)
-    ok = is_jacobian(f)
+    ok = is_jacobian(to_gp(parse(args.expr)))
     return {"jacobian": ok}, [f"jacobian: {str(ok).lower()}"]
 
 
@@ -221,26 +172,14 @@ def _cmd_jacobian_space(args):
 
 
 def _cmd_reduce(args):
-    f = strip_bare_factors(to_gp(parse(args.expr)))
-    _check_bound("variables", len(f.variables()), MAX_REDUCE_VARIABLES)
-    reduced, steps = jacobian_reduce_trace(f)
+    reduced, steps = jacobian_reduce_trace(strip_bare_factors(to_gp(parse(args.expr))))
     payload = {"reduced": repr(reduced), "steps": len(steps)}
     human = [repr(reduced), f"steps: {len(steps)}"]
     return payload, human
 
 
-def _polarization_size(f: GPPoly) -> int:
-    """Sum over the monomials of f of the product of d^d over the
-    degrees d of its variables."""
-    return sum(
-        math.prod(d**d for d in variable_degrees(m).values()) for m in f.monomials()
-    )
-
-
 def _cmd_linearize(args):
-    f = to_gp(parse(args.expr))
-    _check_bound("terms", _polarization_size(f), MAX_LINEARIZE_TERMS)
-    return repr(linearize(f)), None
+    return repr(linearize(to_gp(parse(args.expr)))), None
 
 
 def _cmd_flip(args):
@@ -262,23 +201,8 @@ def _cmd_farkas_height(args):
     return payload, human
 
 
-def _lie_splits(expr) -> int:
-    """Sum over the words of the associative expansion of `expr` before
-    cancellation of 2^(letters): a term counts 1 whatever its coefficient
-    (a zero term's groups and brackets are still expanded), a letter 2
-    and {A,B} = A*B - B*A twice the product of its sides."""
-    return _evaluate(
-        expr,
-        lambda c: 1,
-        lambda name: 2,
-        lambda left, right: 2 * _lie_splits(left) * _lie_splits(right),
-    )
-
-
 def _cmd_lie_test(args):
-    expr = parse(args.expr)
-    _check_bound("splits", _lie_splits(expr), MAX_LIE_SPLITS)
-    ok = is_lie_element(to_assoc(expr))
+    ok = is_lie_element(to_assoc(parse(args.expr)))
     return {"lie": ok}, [f"lie: {str(ok).lower()}"]
 
 
@@ -310,21 +234,12 @@ def _cmd_realize(args):
 
 def _cmd_witness(args):
     _check_bound("--m", args.m, MAX_SIZE)
-    budget = args.budget
-    if budget is not None:
-        _check_bound("--budget", budget, MAX_BUDGET)
+    _check_bound("--budget", args.budget, MAX_BUDGET)
     realization = Realization(args.model, args.m)
     seed = args.seed if args.seed is not None else 0
-    f = to_gp(parse(args.expr))
-    if budget is None:
-        # when not even one attempt fits, the search refuses the default
-        fits = MAX_WITNESS_TERM_PAIRS // max(_attempt_size(f, realization), 1)
-        budget = min(DEFAULT_BUDGET, fits) or DEFAULT_BUDGET
-    witness = identity_witness_search(
-        f, realization, budget=budget, seed=seed, max_term_pairs=MAX_WITNESS_TERM_PAIRS,
-    )
+    witness = identity_witness_search(to_gp(parse(args.expr)), realization, budget=args.budget, seed=seed)
     if witness is None:
-        return {"found": False, "attempts": budget}, ["not found"]
+        return {"found": False, "attempts": args.budget}, ["not found"]
     # each polynomial is printed once, for both forms of the output
     assignment = {v.name: repr(r) for v, r in sorted(witness.assignment.items())}
     value = repr(witness.value)
@@ -382,7 +297,7 @@ def _command_name(argv) -> str:
 
 
 def main(argv=None) -> int:
-    # Exact integers (a `farkas-height` total, a bound's count, a literal)
+    # Exact integers (a `farkas-height` total, a work count, a literal)
     # may pass Python's int-string limit: lift it for this call only.
     if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
         return _run(argv)
@@ -405,11 +320,12 @@ def _run(argv) -> int:
             _emit(_command_name(argv), "error", "usage error", None, True)
         return code
     try:
-        result, human = _HANDLERS[args.command](args)
+        with WorkLimit(WORK_BUDGET):
+            result, human = _HANDLERS[args.command](args)
     except ParseError as exc:
         _emit(args.command, "error", str(exc), args.seed, args.json)
         return 2
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # a spent work limit too
         _emit(args.command, "error", str(exc), args.seed, args.json)
         return 1
     _emit(args.command, "ok", result, args.seed, args.json, human)

@@ -25,7 +25,9 @@ from .ac import (
     Variable,
     Word,
     _accumulate,
+    _charge,
     _coefficient,
+    _meter,
     _word_key,
     bracket_normal,
 )
@@ -103,9 +105,18 @@ class GPPoly(Linear):
 
     def __mul__(self, other) -> "GPPoly":
         if isinstance(other, GPPoly):
+            a, b = self._terms, other._terms
+            if _meter.get() is not None:  # term pairs times the factors of the longest product
+                _charge(len(a) * len(b) * (max(map(len, a), default=0) + max(map(len, b), default=0)))
+            if len(a) == 1:
+                a, b = b, a
+            if len(b) == 1:
+                # one-term factor: the products are distinct and nonzero
+                [(m2, c2)] = b.items()
+                return self._new({_sorted_factors(m1 + m2): c1 * c2 for m1, c1 in a.items()})
             acc: dict[Monomial, Coefficient] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
                     _accumulate(acc, _sorted_factors(m1 + m2), c1 * c2)
             return self._new(acc)
         if isinstance(other, (int, Fraction)):
@@ -118,11 +129,15 @@ class GPPoly(Linear):
         """Leibniz expansion to pairwise word brackets, recanonicalized."""
         if not isinstance(other, GPPoly):
             raise TypeError("bracket expects a GPPoly")
+        a, b = self._terms, other._terms
+        if _meter.get() is not None:  # factor pairs times the letters of the longest result
+            letters = [max((sum(w.degree for w in m) for m in t), default=0) for t in (a, b)]
+            _charge(sum(map(len, a)) * sum(map(len, b)) * sum(letters))
         acc: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self._terms.items():
+        for m1, c1 in a.items():
             for i, u in enumerate(m1):
                 rest1 = m1[:i] + m1[i + 1 :]
-                for m2, c2 in other._terms.items():
+                for m2, c2 in b.items():
                     c12 = c1 * c2
                     for j, v in enumerate(m2):
                         bw = bracket_normal(u, v)

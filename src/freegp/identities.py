@@ -53,7 +53,9 @@ from .ac import (
     Variable,
     Word,
     _accumulate,
+    _charge,
     _coefficient,
+    _meter,
     ac_bracket,
     bracket_normal,
     enumerate_polylinear_basis,
@@ -158,6 +160,7 @@ def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> G
     one factor holding x and that factor holds it once.
     """
     wy, wz = Word.leaf(y), Word.leaf(z)
+    metered = _meter.get() is not None
     differences: dict[Word, dict[Monomial, Coefficient]] = {}
     acc: dict[Monomial, Coefficient] = {}
     for m, c in f._terms.items():
@@ -172,6 +175,8 @@ def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> G
                 raise ValueError(f"input is not linear in {x}")
             terms = differences[m[i]] = _factor_difference(m[i], x, wy, wz)
         rest = m[:i] + m[i + 1 :]
+        if metered:  # the scan of m and its terms
+            _charge((len(terms) + 1) * (len(m) + 1))
         for k, d in terms.items():
             _accumulate(acc, _sorted_factors(rest + k) if rest else k, c * d)
     return GPPoly(acc)
@@ -267,10 +272,12 @@ def _set_partitions(items: Sequence[Variable]) -> Iterator[list[tuple[Variable, 
         yield part + [(last,)]
 
 
-def _friedrichs_basis(xs: Sequence[Variable], index: Mapping[Word, int]) -> list[dict[int, int]]:
+def _friedrichs_basis(xs: Sequence[Variable], index: Mapping[Word, int], block_words: Mapping) -> list[dict[int, int]]:
     """The left-normed basis of the kernel of D(., x1, x1, z) on the
     polylinear words on `xs` = x1..xn, each vector as its nonzero word
     coordinates (`index`); see `jacobian_space` for why it is one.
+    `block_words` holds the normal words of each subset of x2..xn in
+    the word order (the memo of `enumerate_polylinear_basis`).
 
     For each set partition of x2..xn, each choice of a normal word per
     block, and each order of the blocks after a1, the block holding x2:
@@ -279,13 +286,9 @@ def _friedrichs_basis(xs: Sequence[Variable], index: Mapping[Word, int]) -> list
     operator word {u1,{u2,...{uk,x1}...}} and normalized.
     """
     x1 = Word.leaf(xs[0])
-    block_words: dict[tuple[Variable, ...], list[Word]] = {}
     rows = []
     for part in _set_partitions(xs[1:]):
-        for block in part:
-            if block not in block_words:
-                block_words[block] = enumerate_polylinear_basis(block)
-        for letters in itertools.product(*(block_words[b] for b in part)):
+        for letters in itertools.product(*(block_words[frozenset(b)] for b in part)):
             for rest in itertools.permutations(letters[1:]):
                 words = [((letters[0],), 1)]
                 for a in rest:
@@ -317,9 +320,10 @@ def _x1_kernel(n: int) -> tuple[list[Word], RowReducer]:
     if n < 2:
         raise ValueError("need at least two variables")
     xs = [Variable("x", i) for i in range(1, n + 1)]
-    words = enumerate_polylinear_basis(xs)[::-1]
+    block_words: dict[frozenset, list[Word]] = {}
+    words = enumerate_polylinear_basis(xs, block_words)[::-1]
     kernel = RowReducer(len(words))
-    for vec in _friedrichs_basis(xs, {w: j for j, w in enumerate(words)}):
+    for vec in _friedrichs_basis(xs, {w: j for j, w in enumerate(words)}, block_words):
         row = [0] * len(words)
         for j, c in vec.items():
             row[j] = c

@@ -25,7 +25,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .ac import Coefficient, _coefficient
+from .ac import Coefficient, _charge, _coefficient
 
 __all__ = ["RowReducer", "solve", "primitive_integer_vector"]
 
@@ -65,6 +65,7 @@ class RowReducer:
         for j in compress(self._columns, row):  # the nonzero cells
             x = row[j]
             work[j] = x if type(x) is int else _coefficient(x)
+        _charge(len(work))
         work = self.residual(work)
         if not work:
             return False

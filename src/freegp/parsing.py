@@ -242,13 +242,22 @@ def parse(text: str) -> Expr:
     return expr
 
 
+def _sum(parts: list):
+    """The sum of a nonempty list, added in pairs: each term is copied
+    about log2(len(parts)) times, where a running total would copy the
+    early ones once per later part."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) // 2 * 2 :]
+    return parts[0]
+
+
 def _evaluate(expr: Expr, constant, variable, bracket):
     """Sum over the terms (there is at least one) of
     `constant(coefficient)` times the factors: a variable maps to
     `variable(name)`, a group to the fold of its inside, and a bracket to
     `bracket(left, right)` of its *unevaluated* sides, so a target without
     brackets rejects one before looking inside it."""
-    total = None
+    values = []
     for term in expr.terms:
         g = constant(term.coefficient)
         for factor in term.factors:
@@ -258,8 +267,8 @@ def _evaluate(expr: Expr, constant, variable, bracket):
                 g = g * bracket(factor.left, factor.right)
             else:
                 g = g * _evaluate(factor.inner, constant, variable, bracket)
-        total = g if total is None else total + g
-    return total
+        values.append(g)
+    return _sum(values)
 
 
 def to_gp(expr: Expr) -> GPPoly:

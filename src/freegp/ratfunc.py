@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .ac import Coefficient, Linear, _coefficient
+from .ac import Coefficient, Linear, _charge, _coefficient, _meter
 
 __all__ = ["MultiPoly", "RatFunc"]
 
@@ -131,6 +131,7 @@ class MultiPoly(Linear):
         if bound > MAX_EXPONENT:
             raise ValueError(f"a product exponent could exceed {MAX_EXPONENT}")
         a, b = self._terms, other._terms
+        _charge(len(a) * len(b))
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
@@ -178,6 +179,10 @@ class MultiPoly(Linear):
             raise ValueError(f"a bracket exponent could exceed {MAX_EXPONENT}")
         n = len(self.vars)
         a, b = self._derivative_lists(), other._derivative_lists()
+        if _meter.get() is not None:  # the term pairs of every product below
+            fields = [(_BITS * (n - 1 - x), _BITS * (n - 1 - y)) for x, y, _ in pairs]
+            lists = [(p[i][0], q[j][0]) for i, j in fields for p, q in ((a, b), (b, a)) if i in p and j in q]
+            _charge(sum(len(u) * len(v) for u, v in lists))
         acc: dict[int, Coefficient] = {}
         get = acc.get
         for x, y, t in pairs:

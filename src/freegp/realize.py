@@ -29,7 +29,9 @@ realization is a Poisson algebra, where a Poisson identity such as the
 jacobiator is zero under every assignment.  So under poisson a
 polylinear element whose `identities.poisson_normal_form` is zero gets
 None at once, with no random attempt, whenever the form costs less
-than one attempt.
+than one attempt (`_attempt_size`, that guard's only use).  The search
+has no bound of its own: under a `freegp.ac.WorkLimit` each evaluation
+charges its term pairs.
 """
 
 from __future__ import annotations
@@ -227,7 +229,8 @@ def _random_polynomial(var_names: tuple[str, ...], rng: random.Random) -> MultiP
 
 def _attempt_size(f: GPPoly, realization: Realization) -> int:
     """Term pairs of one random witness attempt on f, whose images are
-    dense polynomials of degree 2 in N = 2m variables (`_random_polynomial`).
+    dense polynomials of degree 2 in N = 2m variables (`_random_polynomial`):
+    the yardstick the Poisson normal form is held to.
 
     A polynomial of degree d has at most S(d) = C(N + d, d) terms, and
     S(d - 1) of them hold a given variable.  A bracket of degrees a and b
@@ -273,15 +276,12 @@ def identity_witness_search(
     realization: Realization,
     budget: int = 200,
     seed: int = 0,
-    max_term_pairs: int | None = None,
 ) -> Witness | None:
     """Look for an assignment where f evaluates to something nonzero.
 
     Tries the structured staggered assignment first when it applies,
     then seeded random polynomial assignments of degree <= 2; candidates
-    are evaluated in a fixed order, so results are reproducible.  With
-    `max_term_pairs`, raises `ValueError` before the first random attempt
-    when `budget` attempts of `_attempt_size` each exceed it.
+    are evaluated in a fixed order, so results are reproducible.
 
     Under poisson a polylinear f then gets its `poisson_normal_form`
     when the letters that form writes (`_poisson_form_size`) are no more
@@ -303,13 +303,10 @@ def identity_witness_search(
                 return Witness(assignment, value, "structured", 0)
     if not budget:
         return None
-    size = _attempt_size(f, realization)
-    if max_term_pairs is not None and budget * size > max_term_pairs:
-        raise ValueError(f"term pairs={budget * size} exceeds the bound {max_term_pairs}")
     if (
         realization.kind == "poisson"
         and polylinear
-        and _poisson_form_size(f) <= size
+        and _poisson_form_size(f) <= _attempt_size(f, realization)
         and not _poisson_coordinates(f)
     ):
         return None

@@ -529,27 +529,6 @@ def full_coproduct_is_lie(L: AssocPoly) -> bool:
     return _full_coproduct(L) == target
 
 
-def expanded_words(expr: Expr) -> list[tuple]:
-    """Test oracle for `cli._lie_splits`: the words of the associative
-    expansion of `expr` before cancellation, repeats kept and coefficients
-    ignored.  A sum joins its terms' words, a product concatenates one
-    word of each factor in every way, and {A,B} gives a+b and b+a."""
-    words = []
-    for term in expr.terms:
-        choices = [()]
-        for factor in term.factors:
-            if isinstance(factor, VarFactor):
-                options = [(factor.name,)]
-            elif isinstance(factor, BracketFactor):
-                left, right = expanded_words(factor.left), expanded_words(factor.right)
-                options = [w for a in left for b in right for w in (a + b, b + a)]
-            else:
-                options = expanded_words(factor.inner)
-            choices = [w + o for w in choices for o in options]
-        words += choices
-    return words
-
-
 def expansion_degree(expr: Expr) -> int:
     """Length of the longest word in the associative expansion of `expr`."""
     top = 0
@@ -569,9 +548,9 @@ def expansion_degree(expr: Expr) -> int:
 def expansion_size(expr: Expr) -> int:
     """Words in the associative expansion of `expr` before cancellation:
     a sum adds, a product multiplies and {A,B} = A*B - B*A doubles.
-    With `expansion_degree`, the admission oracle of the `lie-test`
-    bound: every expression of degree at most 9 and at most 256 words
-    must be admitted."""
+    With `expansion_degree`, the admission oracle of `lie-test`: every
+    expression of degree at most 9 and at most 256 words must fit the
+    work budget."""
     total = 0
     for term in expr.terms:
         n = 1

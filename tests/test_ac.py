@@ -375,3 +375,13 @@ class TestPolylinearBasis:
         for w in enumerate_polylinear_basis(xvars(4)):
             assert is_normal(w)
             assert w.varset == frozenset(xvars(4)) and w.degree == 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_memo_holds_every_subset_in_word_order(self, n):
+        memo = {}
+        words = enumerate_polylinear_basis(xvars(n), memo)
+        assert memo[frozenset(xvars(n))] == words
+        subsets = [s for k in range(1, n + 1) for s in itertools.combinations(xvars(n), k)]
+        assert set(memo) == {frozenset(s) for s in subsets}
+        for s in subsets:
+            assert memo[frozenset(s)] == enumerate_polylinear_basis(s)

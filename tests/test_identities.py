@@ -396,9 +396,9 @@ class TestJacobianSpace:
         the number of stage-2 columns of `jacobian_space`, by the theorem
         in its docstring: the left-normed basis has that many vectors, and
         they are independent."""
-        xs = xvars(n)
-        words = enumerate_polylinear_basis(xs)
-        vectors = _friedrichs_basis(xs, {w: j for j, w in enumerate(words)})
+        xs, memo = xvars(n), {}
+        words = enumerate_polylinear_basis(xs, memo)
+        vectors = _friedrichs_basis(xs, {w: j for j, w in enumerate(words)}, memo)
         reducer = RowReducer(len(words))
         for vec in vectors:
             reducer.add([vec.get(j, 0) for j in range(len(words))])
@@ -406,17 +406,18 @@ class TestJacobianSpace:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_kernel_basis_is_lie_and_in_the_oracle_kernel(self, n):
-        xs = xvars(n)
-        words = enumerate_polylinear_basis(xs)
+        xs, memo = xvars(n), {}
+        words = enumerate_polylinear_basis(xs, memo)
         rows = derivation_rows(n, V("x1"))
-        for vec in _friedrichs_basis(xs, {w: j for j, w in enumerate(words)}):
+        for vec in _friedrichs_basis(xs, {w: j for j, w in enumerate(words)}, memo):
             assert all(sum(row[j] * c for j, c in vec.items()) == 0 for row in rows)
             f = ACPoly({words[j]: c for j, c in vec.items()})
             assert is_lie_element(multiplication_operator(f, V("x1")))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_kernel_basis_reduces_to_the_oracle_kernel(self, n):
-        words = enumerate_polylinear_basis(xvars(n))
+        memo = {}
+        words = enumerate_polylinear_basis(xvars(n), memo)
         rows = RowReducer(len(words))
         for row in derivation_rows(n, V("x1")):
             rows.add(row)
@@ -425,7 +426,7 @@ class TestJacobianSpace:
             oracle.add(vec)
         index = {w: j for j, w in enumerate(words)}
         kernel = RowReducer(len(words))
-        for vec in _friedrichs_basis(xvars(n), index):
+        for vec in _friedrichs_basis(xvars(n), index, memo):
             kernel.add([vec.get(j, 0) for j in range(len(words))])
         assert kernel.pivots == oracle.pivots
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import freegp.realize
-from freegp.ac import Variable
+from freegp.ac import WorkLimit, WorkLimitExceeded
 from freegp.gp import GPPoly, substitute
 from freegp.identities import _poisson_form_size
 from freegp.ratfunc import MAX_EXPONENT, MultiPoly, RatFunc
@@ -425,22 +425,39 @@ class TestWitnessSearch:
         assert identity_witness_search(gp(J3_T_TEXT), Realization("poisson", 2), budget=0) is None
 
     def test_attempt_bound_is_checked_before_the_random_phase(self):
+        # under a work limit the structured attempt spends only its own
+        # evaluation, and a zero budget spends nothing on random attempts
         r = Realization("gps", 2)
-        w = identity_witness_search(gp("{t1,t2}"), r, max_term_pairs=0)
-        assert w is not None and w.method == "structured"
+        pair = gp("{t1,t2}")
+        with WorkLimit(10**9) as meter:
+            identity_witness_search(pair, r)
+        with WorkLimit(meter.spent):
+            assert identity_witness_search(pair, r).method == "structured"
         f = gp("{t1,{t2,{t3,t4}}}")  # no structured plan applies
-        assert identity_witness_search(f, r, budget=0, max_term_pairs=0) is None
-        with pytest.raises(ValueError, match="exceeds the bound 0"):
-            identity_witness_search(f, r, budget=1, max_term_pairs=0)
-        w = identity_witness_search(f, r, budget=1, seed=5, max_term_pairs=_attempt_size(f, r))
+        with WorkLimit(0):
+            assert identity_witness_search(f, r, budget=0) is None
+        with WorkLimit(10**9) as meter:
+            identity_witness_search(f, r, budget=1, seed=5)
+        with pytest.raises(WorkLimitExceeded, match=f"exceeds the bound {meter.spent - 1}"):
+            with WorkLimit(meter.spent - 1):
+                identity_witness_search(f, r, budget=1, seed=5)
+        with WorkLimit(meter.spent):
+            w = identity_witness_search(f, r, budget=1, seed=5)
         assert w is not None and w.method == "random"
 
     def test_attempt_bound_counts_every_attempt_of_the_budget(self):
-        f, r = gp(J3_T_TEXT), Realization("poisson", 2)  # never found: Jacobi holds
-        size = _attempt_size(f, r)
-        with pytest.raises(ValueError, match=f"term pairs={3 * size} exceeds the bound {3 * size - 1}"):
-            identity_witness_search(f, r, budget=3, max_term_pairs=3 * size - 1)
-        assert identity_witness_search(f, r, budget=3, max_term_pairs=3 * size) is None
+        # a Poisson identity that is not polylinear: no structured attempt
+        # and no normal form, so every random attempt runs and finds zero
+        f, r = gp(f"({J3_T_TEXT})*t4*t4"), Realization("poisson", 2)
+        spent = []
+        for budget in (1, 2, 3):
+            with WorkLimit(10**9) as meter:
+                assert identity_witness_search(f, r, budget=budget) is None
+            spent.append(meter.spent)
+        assert 0 < spent[0] < spent[1] < spent[2]
+        with pytest.raises(WorkLimitExceeded, match=f"exceeds the bound {spent[2] - 1}"):
+            with WorkLimit(spent[2] - 1):
+                identity_witness_search(f, r, budget=3)
 
     @pytest.mark.parametrize("m", [2, 4, 12])
     def test_poisson_identity_is_answered_by_the_normal_form(self, monkeypatch, m):
