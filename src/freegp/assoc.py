@@ -28,20 +28,7 @@ __all__ = [
 
 def permutation_sign(perm: Sequence[int]) -> int:
     """Parity of a permutation given as a sequence of distinct indices."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return _sort_sign(tuple(perm))[0]
 
 
 def _sort_sign(letters: tuple):

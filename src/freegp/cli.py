@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .ac import Variable, WorkLimit, flip, height
 from .identities import (
@@ -51,81 +52,10 @@ MAX_JACOBIAN_N = 6
 # 2,228,377; a unit costs 0.1-1 us on a shared 2-vCPU VM, by kernel.
 WORK_BUDGET = 2_500_000
 
-# Options that take a value; `main` skips those values when it names the
-# subcommand of a command line it cannot parse.
-_VALUE_OPTIONS = frozenset({"--seed", "--n", "--var", "--model", "--assign", "--m", "--budget"})
-
 POLARIZATION_NOTE = (
     "linearize keeps the multilinear component without dividing by d!; "
     "fresh copies take the indices above every index in the input, of any letter"
 )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    # The global flags are accepted before and after the subcommand.  They
-    # have no defaults here (main supplies them): each subcommand's copy
-    # would write its default over a flag given before the subcommand.
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument("--seed", type=int, help="seed for randomized search")
-
-    parser = argparse.ArgumentParser(
-        prog="freegp",
-        description="Exact kernel for free anti-commutative and generic Poisson algebras.",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", parents=[common], help="canonical form of an expression")
-    p.add_argument("expr")
-
-    p = sub.add_parser("bracket", parents=[common], help="bracket of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-
-    p = sub.add_parser("mul", parents=[common], help="product of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-
-    p = sub.add_parser("jacobian", parents=[common], help="is the element a derivation in every variable")
-    p.add_argument("expr")
-
-    p = sub.add_parser("jacobian-space", parents=[common], help="basis of polylinear Jacobian elements on x1..xn")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("reduce", parents=[common], help="derivation-difference reduction to a Jacobian element")
-    p.add_argument("expr")
-
-    p = sub.add_parser("linearize", parents=[common], help="full polarization", epilog=POLARIZATION_NOTE)
-    p.add_argument("expr")
-
-    p = sub.add_parser("flip", parents=[common], help="flip with respect to a variable")
-    p.add_argument("--var", required=True)
-    p.add_argument("expr")
-
-    p = sub.add_parser("height", parents=[common], help="bracket height of a word at a variable")
-    p.add_argument("--var", required=True)
-    p.add_argument("expr")
-
-    p = sub.add_parser("farkas-height", parents=[common], help="bracket-factor heights and their 3-power total")
-    p.add_argument("expr")
-
-    p = sub.add_parser("lie-test", parents=[common], help="is an associative expression a Lie element ('*' concatenates, braces commute)")
-    p.add_argument("expr")
-
-    p = sub.add_parser("realize", parents=[common], help="evaluate under a derivation-pair realization")
-    p.add_argument("--model", choices=["poisson", "gps"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--assign", action="append", default=[], metavar="t1=EXPR")
-    p.add_argument("expr")
-
-    p = sub.add_parser("witness", parents=[common], help="search for a non-identity witness")
-    p.add_argument("--model", choices=["poisson", "gps"], default="gps")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("expr")
-
-    return parser
 
 
 def _parse_variable(name: str) -> Variable:
@@ -256,21 +186,80 @@ def _cmd_witness(args):
     return payload, human
 
 
-_HANDLERS = {
-    "normalize": _cmd_normalize,
-    "bracket": _cmd_bracket,
-    "mul": _cmd_mul,
-    "jacobian": _cmd_jacobian,
-    "jacobian-space": _cmd_jacobian_space,
-    "reduce": _cmd_reduce,
-    "linearize": _cmd_linearize,
-    "flip": _cmd_flip,
-    "height": _cmd_height,
-    "farkas-height": _cmd_farkas_height,
-    "lie-test": _cmd_lie_test,
-    "realize": _cmd_realize,
-    "witness": _cmd_witness,
+class Command(NamedTuple):
+    help: str
+    arguments: tuple[tuple[str, dict], ...]  # (name, argparse keywords), in order
+    handler: Callable[[argparse.Namespace], tuple]
+    epilog: str | None = None
+
+
+def _arg(name: str, **kwargs) -> tuple[str, dict]:
+    return name, kwargs
+
+
+_EXPR = _arg("expr")
+_TWO_EXPRS = (_arg("expr1"), _arg("expr2"))
+_N = _arg("--n", type=int, required=True)
+_VAR = _arg("--var", required=True)
+
+# Each subcommand once: `build_parser` adds them in this order and `_run`
+# dispatches through them.
+COMMANDS = {
+    "normalize": Command("canonical form of an expression", (_EXPR,), _cmd_normalize),
+    "bracket": Command("bracket of two expressions", _TWO_EXPRS, _cmd_bracket),
+    "mul": Command("product of two expressions", _TWO_EXPRS, _cmd_mul),
+    "jacobian": Command("is the element a derivation in every variable", (_EXPR,), _cmd_jacobian),
+    "jacobian-space": Command("basis of polylinear Jacobian elements on x1..xn", (_N,), _cmd_jacobian_space),
+    "reduce": Command("derivation-difference reduction to a Jacobian element", (_EXPR,), _cmd_reduce),
+    "linearize": Command("full polarization", (_EXPR,), _cmd_linearize, POLARIZATION_NOTE),
+    "flip": Command("flip with respect to a variable", (_VAR, _EXPR), _cmd_flip),
+    "height": Command("bracket height of a word at a variable", (_VAR, _EXPR), _cmd_height),
+    "farkas-height": Command("bracket-factor heights and their 3-power total", (_EXPR,), _cmd_farkas_height),
+    "lie-test": Command(
+        "is an associative expression a Lie element ('*' concatenates, braces commute)", (_EXPR,), _cmd_lie_test
+    ),
+    "realize": Command("evaluate under a derivation-pair realization", (
+        _arg("--model", choices=["poisson", "gps"], required=True),
+        _N,
+        # one list for every call: argparse copies it before it appends
+        _arg("--assign", action="append", default=[], metavar="t1=EXPR"),
+        _EXPR,
+    ), _cmd_realize),
+    "witness": Command("search for a non-identity witness", (
+        _arg("--model", choices=["poisson", "gps"], default="gps"),
+        _arg("--m", type=int, required=True),
+        _arg("--budget", type=int, default=DEFAULT_BUDGET),
+        _EXPR,
+    ), _cmd_witness),
 }
+
+# Options that take a value: `--seed` and every table flag.  `main` skips
+# their values when it names the subcommand of a command line it cannot
+# parse.
+_VALUE_OPTIONS = frozenset(
+    ["--seed", *(name for c in COMMANDS.values() for name, _ in c.arguments if name.startswith("-"))]
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # The global flags are accepted before and after the subcommand.  They
+    # have no defaults here (main supplies them): each subcommand's copy
+    # would write its default over a flag given before the subcommand.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--json", action="store_true", help="emit one JSON document")
+    common.add_argument("--seed", type=int, help="seed for randomized search")
+
+    parser = argparse.ArgumentParser(
+        prog="freegp",
+        description="Exact kernel for free anti-commutative and generic Poisson algebras.",
+        parents=[common],
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help, epilog=command.epilog)
+        for argument, kwargs in command.arguments:
+            p.add_argument(argument, **kwargs)
+    return parser
 
 
 def _emit(command: str, status: str, result, seed, as_json: bool, human=None) -> None:
@@ -321,7 +310,7 @@ def _run(argv) -> int:
         return code
     try:
         with WorkLimit(WORK_BUDGET):
-            result, human = _HANDLERS[args.command](args)
+            result, human = COMMANDS[args.command].handler(args)
     except ParseError as exc:
         _emit(args.command, "error", str(exc), args.seed, args.json)
         return 2

@@ -209,16 +209,27 @@ def is_jacobian(f: GPPoly) -> bool:
     Requires a polylinear input; a constant is vacuously Jacobian.  Only
     the variables that the height-1 screen leaves open are tested
     (`_leibniz_open`): f is a derivation in every other one by the
-    Leibniz rule.  f is polylinear, so any one monomial holds every
-    variable, and the fresh index is read from one.
+    Leibniz rule.
     """
     if not is_polylinear(f):
         raise ValueError("Jacobian test needs a polylinear input; linearize first")
-    top = max((v.index for w in next(iter(f._terms), ()) for v in w.leaves), default=0)
-    return all(
-        derivation_difference(f, v, v, Variable(v.base, top + 1)).is_zero()
-        for v in _leibniz_open(f)
-    )
+    return _open_difference(f) is None
+
+
+def _open_difference(g: GPPoly) -> tuple[Variable, Variable, GPPoly] | None:
+    """(v, fresh, D(g, v, v, fresh)) for the least variable v that the
+    height-1 screen leaves open (`_leibniz_open`) with a nonzero
+    difference, or None when there is none.  g is polylinear, so any one
+    monomial holds every variable, and the fresh index (the one
+    `_fresh_variable` gives) is read from one.
+    """
+    top = max((v.index for w in next(iter(g._terms), ()) for v in w.leaves), default=0)
+    for v in _leibniz_open(g):
+        fresh = Variable(v.base, top + 1)
+        d = derivation_difference(g, v, v, fresh)
+        if not d.is_zero():
+            return v, fresh, d
+    return None
 
 
 def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
@@ -607,13 +618,21 @@ def strip_bare_factors(f: GPPoly) -> GPPoly:
     inside a bracket die with it ({u,1} = 0), so the order matters: on
     x1*{x2,x3} + x2*{x1,x2}, x1 -> 1 kills the second monomial, x2 is
     then bare nowhere and the result is {x2,x3}; substituting 1 for x1
-    and x2 at once would give 0."""
+    and x2 at once would give 0.  Each pass is one filter of the terms:
+    it drops the bare factors of the variable and every monomial that
+    holds it inside a bracket, and adds up the rest."""
     g = f
     while True:
         bare = _bare_factor_variables(g)
         if not bare:
             return g
-        g = substitute(g, {bare[0]: GPPoly.one()})
+        v = bare[0]
+        _charge(len(g._terms))
+        acc: dict[Monomial, Coefficient] = {}
+        for m, c in g._terms.items():
+            if all(w.is_leaf for w in m if v in w.varset):
+                _accumulate(acc, tuple(w for w in m if v not in w.varset), _coefficient(c))
+        g = g._new(acc)
 
 
 @dataclass(frozen=True)
@@ -647,22 +666,14 @@ def jacobian_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
     g = f
     before = sum(3**h for h in _factor_degrees(g).values())
     steps: list[ReductionStep] = []
-    while True:
-        # the index `_fresh_variable` gives each v, found once per step from
-        # one monomial: g is polylinear, so each monomial holds every variable
-        top = max((v.index for w in next(iter(g._terms)) for v in w.leaves), default=0)
-        for v in _leibniz_open(g):
-            fresh = Variable(v.base, top + 1)
-            d = derivation_difference(g, v, v, fresh)
-            if not d.is_zero():
-                break
-        else:
-            return g, steps
+    while (found := _open_difference(g)) is not None:
+        v, fresh, d = found
         after = sum(3**h for h in _factor_degrees(d).values())
         if after >= before:
             raise ArithmeticError("total height failed to decrease")
         steps.append(ReductionStep(v, fresh, before, after))
         g, before = d, after
+    return g, steps
 
 
 def jacobian_reduce(f: GPPoly) -> GPPoly:

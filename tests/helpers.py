@@ -22,6 +22,7 @@ from freegp.gp import GPPoly, Monomial, substitute
 from freegp.identities import (
     ProductDecomposition,
     ReductionStep,
+    _bare_factor_variables,
     _block_element,
     _factor_difference,
     farkas_height,
@@ -157,6 +158,18 @@ def two_pass_reduce_trace(f: GPPoly) -> tuple[GPPoly, list[ReductionStep]]:
         before = farkas_height(g).total
         g = substitution_derivation_difference(g, failing, failing, z)
         steps.append(ReductionStep(failing, z, before, farkas_height(g).total))
+
+
+def substitution_strip_bare_factors(f: GPPoly) -> GPPoly:
+    """Test oracle for `freegp.identities.strip_bare_factors`: substitute
+    1 for the least variable occurring as a bare factor, one at a time,
+    until none remain."""
+    g = f
+    while True:
+        bare = _bare_factor_variables(g)
+        if not bare:
+            return g
+        g = substitute(g, {bare[0]: GPPoly.one()})
 
 
 # ---------------------------------------------------------------- classification oracle

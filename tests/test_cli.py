@@ -18,10 +18,12 @@ from freegp import cli
 from freegp.ac import WorkLimit
 from freegp.assoc import is_lie_element
 from freegp.cli import (
+    COMMANDS,
     DEFAULT_BUDGET,
     MAX_BUDGET,
     MAX_JACOBIAN_N,
     MAX_SIZE,
+    POLARIZATION_NOTE,
     WORK_BUDGET,
     _VALUE_OPTIONS,
     build_parser,
@@ -216,6 +218,24 @@ class TestJsonSchema:
         assert json.loads(before[1])["meta"] == {"seed": 3}
 
 
+class TestCommandTable:
+    """`COMMANDS` states each subcommand once; the parser is built from it."""
+
+    def test_parser_choices_are_the_table_in_order(self):
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: freegp {command} ")
+
+    def test_linearize_help_prints_the_polarization_note(self, capsys):
+        _, out, _ = run(capsys, "linearize", "--help")
+        assert POLARIZATION_NOTE in " ".join(out.split())
+
+
 class TestConsecutiveCalls:
     """No parse state leaks from one `main` call into the next."""
 
@@ -243,6 +263,17 @@ class TestConsecutiveCalls:
         _, doc = run_json(capsys, *argv)
         assert doc["result"] == {"height": 1}
         assert run(capsys, *argv) == (0, "1\n", "")
+
+    def test_realize_calls_see_only_their_own_assignments(self, capsys):
+        # the table's --assign default is one list for every call
+        realize = ("realize", "--model", "poisson", "--n", "1")
+        _, doc = run_json(capsys, *realize, "--assign", "t1=x1", "--assign", "t2=y1", "{t1,t2}")
+        assert doc["result"] == "1"
+        _, doc = run_json(capsys, *realize, "--assign", "t1=y1", "--assign", "t2=x1", "{t1,t2}")
+        assert doc["result"] == "-1"
+        code, doc = run_json(capsys, *realize, "{t1,t2}")
+        assert code == 1 and doc["result"] == "assignment does not cover t1"
+        assert dict(COMMANDS["realize"].arguments)["--assign"]["default"] == []
 
     def test_assignments_do_not_accumulate(self, capsys):
         argv = ("realize", "--model", "poisson", "--n", "1", "--assign", "t1=x1", "--assign", "t2=y1", "{t1,t2}")
@@ -414,6 +445,15 @@ class TestVariableBounds:
         assert run_json(capsys, command, expr) == (0, {
             "command": command, "status": "ok", "result": result, "meta": {"seed": None},
         })
+
+    def test_sum_of_500_bare_variables(self, capsys):
+        # each pass of the strip charges its terms: n, then n, n-1, ..., 2
+        n = 500
+        text = " + ".join(f"x{i}" for i in range(1, n + 1))
+        f = to_gp(parse(text))
+        assert work_of(lambda: strip_bare_factors(f)) == n + n * (n + 1) // 2 - 1
+        code, doc = run_json(capsys, "reduce", text)
+        assert (code, doc["result"]) == (0, {"reduced": "500", "steps": 0})
 
     def test_reduce_counts_after_stripping_bare_factors(self, capsys):
         text = right_normed_text([f"x{i}" for i in range(1, 8)]) + "*x8*x9"

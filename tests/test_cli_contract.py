@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from freegp.cli import _HANDLERS, MAX_BUDGET, MAX_JACOBIAN_N, MAX_SIZE
+from freegp.cli import COMMANDS, MAX_BUDGET, MAX_JACOBIAN_N, MAX_SIZE
 from freegp.parsing import MAX_DEPTH
 
 CAP_SECONDS = 20
@@ -134,7 +134,7 @@ def keeps_the_contract(argv: list[str]) -> dict:
     return doc
 
 
-@pytest.mark.parametrize("command", sorted(_HANDLERS))
+@pytest.mark.parametrize("command", COMMANDS)
 @settings(
     max_examples=3,
     derandomize=True,

@@ -68,6 +68,7 @@ from helpers import (
     solve_product_decompose,
     substitution_derivation_difference,
     substitution_is_jacobian,
+    substitution_strip_bare_factors,
     two_pass_reduce_trace,
     word,
     xvars,
@@ -719,6 +720,11 @@ class TestStripBareFactors:
         assert strip_bare_factors(f) == gp("{x2,x3}")
         one = GPPoly.one()
         assert substitute(f, {V("x1"): one, V("x2"): one}).is_zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(gp_polys(xvars(4), max_terms=4, max_factors=3))
+    def test_matches_substitution_oracle(self, f):
+        assert strip_bare_factors(f) == substitution_strip_bare_factors(f)
 
 
 class TestJacobianReduce:
