@@ -4,9 +4,13 @@ For each arity n this solves the exact linear system "D(w, xi, xi, z)
 vanishes for each xi" over the W = (2n-3)!! polylinear normal words, in
 two stages (`identities.jacobian_space`): stage 1 writes down and
 reduces the left-normed basis of the kernel of x1, K = (2n-4)!! vectors
-by Friedrichs' criterion; stage 2 relabels the annihilator of that
-kernel, the rows of x1, to every other variable and reduces those rows
-restricted to the kernel.  It reports the dimension, a basis, K of W,
+by Friedrichs' criterion; stage 2 takes the annihilator of that
+kernel, the rows of x1, one row at a time, relabels it to x2, ..., xn
+in turn (each word only when a row first holds it, on its normal key),
+restricts each relabeled row to the kernel, and adds it only when its
+residual against the rows kept so far is nonzero, until the rank is K.
+At n=7 this takes 2.7-3.0 s (basis 0.9-1.0 s, stage 2 1.8-2.0 s) and 53 MB
+peak RSS on a shared 2-vCPU VM.  It reports the dimension, a basis, K of W,
 the time of each stage and the peak resident memory of the process so
 far.  The expected table is 1, 1, 0, 0, ...: only the plain bracket and
 the bracket jacobiator survive.  The exit status is 1 when a dimension

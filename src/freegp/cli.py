@@ -44,8 +44,8 @@ MAX_SIZE = 12  # realize --n, witness --m
 MAX_BUDGET = 1000  # witness --budget
 DEFAULT_BUDGET = 200  # witness without --budget
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
-# 2-vCPU VM n=5 takes about 0.01 s, n=6 about 0.2 s and n=7 (10,395
-# words) about 6 s and 61 MB peak RSS, too long for one command.
+# 2-vCPU VM n=5 takes about 0.005 s, n=6 about 0.05-0.1 s and n=7 (10,395
+# words) about 3 s and 53 MB peak RSS, too long for one command.
 MAX_JACOBIAN_N = 6
 # Work units (`ac.WorkLimit`) of one command.  The slowest input of the
 # earlier per-command bounds, the 17-letter `lie-test` product, spends

@@ -14,6 +14,7 @@ from freegp.ac import (
     Variable,
     Word,
     _accumulate,
+    _normal_form,
     enumerate_polylinear_basis,
     normalize_word,
 )
@@ -212,6 +213,57 @@ def per_variable_jacobian_space(n: int) -> list[ACPoly]:
                 acc[words[j]] = c
         basis.append(ACPoly(acc))
     return basis
+
+
+def renamed(w: Word, images) -> Word:
+    """The raw word `w` with each leaf v replaced by images.get(v, v)."""
+    if w.is_leaf:
+        return Word.leaf(images.get(w.var, w.var))
+    return Word.node(renamed(w.left, images), renamed(w.right, images))
+
+
+def every_row_kernel_space(n: int, words: list[Word], kernel: RowReducer) -> list[ACPoly]:
+    """Test oracle for `freegp.identities._kernel_space`, on the same
+    stage-1 words and kernel basis: it relabels every word by (x1 xi),
+    as the normal form of the renamed word, before it builds a row, and
+    adds every dense restricted row of x2, then every one of x3, and so
+    on, until the rank is full."""
+    pivots = sorted(kernel.pivots)
+    basis = [kernel.pivots[p] for p in pivots]
+    holders: dict[int, list[tuple[int, Coefficient]]] = {}  # column j -> (p, b_p[j])
+    for p, brow in enumerate(basis):
+        for j, c in brow.items():
+            holders.setdefault(j, []).append((p, c))
+    x1_rows = [
+        [(f, 1)] + [(pivots[p], -c) for p, c in holders.get(f, ())]
+        for f in range(len(words))
+        if f not in kernel.pivots
+    ]
+    index = {w: j for j, w in enumerate(words)}
+    restricted = RowReducer(len(basis))
+    x1 = Variable("x", 1)
+    for i in range(2, n + 1):
+        xi = Variable("x", i)
+        images = {x1: xi, xi: x1}
+        moved = [(index[u], s) for s, u in (_normal_form(renamed(w, images)) for w in words)]
+        for r in x1_rows:
+            row: list[Coefficient] = [0] * len(basis)
+            for k, c in r:
+                j, s = moved[k]
+                for p, b in holders.get(j, ()):
+                    row[p] += s * c * b
+            restricted.add(row)
+            if restricted.rank == len(basis):
+                return []
+    out = []
+    for vec in restricted.nullspace():
+        full: list[Coefficient] = [0] * len(words)
+        for c, brow in zip(vec, basis):
+            for j, b in brow.items():
+                full[j] += c * b
+        coordinates = primitive_integer_vector(full[::-1])
+        out.append(ACPoly({w: c for w, c in zip(reversed(words), coordinates) if c}))
+    return out
 
 
 # ---------------------------------------------------------------- decomposition oracle

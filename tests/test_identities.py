@@ -29,6 +29,7 @@ from freegp.identities import (
     _block_element,
     _factor_difference,
     _friedrichs_basis,
+    _kernel_space,
     _leibniz_open,
     _relabel,
     _set_partitions,
@@ -58,6 +59,7 @@ from helpers import (
     acp,
     coefficients,
     derivation_rows,
+    every_row_kernel_space,
     full_expansion_form,
     gp,
     gp_polys,
@@ -65,6 +67,7 @@ from helpers import (
     linear_gp_polys,
     per_variable_jacobian_space,
     polylinear_gp_polys,
+    renamed,
     solve_product_decompose,
     substitution_derivation_difference,
     substitution_is_jacobian,
@@ -371,7 +374,7 @@ class TestJacobianSpace:
         words, kernel = _x1_kernel(n)
         assert words == enumerate_polylinear_basis(xvars(n))[::-1]
         in_order = words[::-1]
-        index = {w: j for j, w in enumerate(in_order)}
+        index = {w.key: j for j, w in enumerate(in_order)}
         annihilator = [vec[::-1] for vec in kernel.nullspace()]
         for xi in xvars(n):
             images, memo = {V("x1"): xi, xi: V("x1")}, {}
@@ -379,8 +382,8 @@ class TestJacobianSpace:
             for vec in annihilator:
                 row = [0] * len(words)
                 for k, c in enumerate(vec):
-                    s, u = _relabel(in_order[k], images, memo)
-                    row[index[u]] = s * c
+                    s, key = _relabel(in_order[k], images, memo)
+                    row[index[key]] = s * c
                 relabeled.add(row)
             oracle = RowReducer(len(words))
             for row in derivation_rows(n, xi):
@@ -482,7 +485,29 @@ class TestJacobianSpace:
         memo = {}  # shared by several words, as by the basis words
         for _ in range(data.draw(st.integers(1, 4))):
             w = _normal_form(random_tree(data.draw(st.permutations(xs)), data))[1]
-            assert _relabel(w, images, memo) == _normal_form(renamed(w, images))
+            s, u = _normal_form(renamed(w, images))
+            assert _relabel(w, images, memo) == (s, u.key)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stage_2_matches_the_every_row_oracle(self, n):
+        """Interleaved rows, lazy relabeling and the residual screen give
+        what relabeling every word and adding every row gives."""
+        words, kernel = _x1_kernel(n)
+        assert _kernel_space(n, words, kernel) == every_row_kernel_space(n, words, kernel)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_stage_2_adds_only_rows_that_raise_the_rank(self, n, monkeypatch):
+        words, kernel = _x1_kernel(n)
+        add, grew = RowReducer.add, []
+
+        def counted(self, row):
+            grew.append(add(self, row))
+            return grew[-1]
+
+        monkeypatch.setattr(RowReducer, "add", counted)
+        assert _kernel_space(n, words, kernel) == []
+        assert grew and all(grew)
+        assert len(grew) == kernel.rank  # every add is one step to the full rank
 
     def test_jacobiator_helper_matches_text(self):
         a, b, c = (ACPoly.generator(V(f"x{i}")) for i in (1, 2, 3))
@@ -495,13 +520,6 @@ def random_tree(letters, data) -> Word:
         return Word.leaf(letters[0])
     k = data.draw(st.integers(1, len(letters) - 1))
     return Word.node(random_tree(letters[:k], data), random_tree(letters[k:], data))
-
-
-def renamed(w: Word, images) -> Word:
-    """The raw word `w` with each leaf v replaced by images.get(v, v)."""
-    if w.is_leaf:
-        return Word.leaf(images.get(w.var, w.var))
-    return Word.node(renamed(w.left, images), renamed(w.right, images))
 
 
 class TestLinearize:
