@@ -1,11 +1,10 @@
 """Free associative algebra over an arbitrary alphabet.
 
 Words are tuples of letters (any hashable, mutually comparable values).
-The module provides the signed permutation sums, the primitivity test
-for Lie elements (L is Lie iff the coproduct that makes every letter
-primitive sends it to L(x)1 + 1(x)L: no constant term, and the proper
-splits of its words cancel), and the algebra map onto the exterior
-algebra of the letter space.
+Besides the signed permutation sums and the map onto the exterior
+algebra, it holds the free Lie algebra inside: left-normed commutators
+(`_left_normed`), the Dynkin-Specht-Wever Lie test on them, and the
+commutator expansion of bracket words with their left-normed coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .ac import Coefficient, Linear, _accumulate, _charge, _coefficient, _meter
+from .ac import Coefficient, Linear, Word, _accumulate, _charge, _coefficient, _meter
 
 __all__ = [
     "AssocPoly",
@@ -105,26 +104,61 @@ def alternating_sum(m: int, letters: Sequence) -> AssocPoly:
     return AssocPoly(acc)
 
 
-def _coproduct(L: AssocPoly) -> dict[tuple[tuple, tuple], Coefficient]:
-    """Proper part of the coproduct with every letter primitive, extended
-    multiplicatively: each word split into two nonempty subsequences."""
-    if _meter.get() is not None:
-        _charge(sum(len(w) << len(w) for w in L._terms))  # splits times letters
-    acc: dict[tuple[tuple, tuple], Coefficient] = {}
-    for word, c in L._terms.items():
-        k = len(word)
-        for mask in range(1, (1 << k) - 1):
-            left = tuple(word[i] for i in range(k) if mask >> i & 1)
-            right = tuple(word[i] for i in range(k) if not mask >> i & 1)
-            _accumulate(acc, (left, right), c)
-    return acc
+def _left_normed(letters: Sequence) -> list[tuple[tuple, int]]:
+    """The signed words of [...[[a1, a2], a3], ..., ak] for the letters
+    a1..ak (k >= 1): 2^(k-1) of them, distinct when the letters are."""
+    words = [((letters[0],), 1)]
+    for a in letters[1:]:
+        words = [(u + (a,), c) for u, c in words] + [((a,) + u, -c) for u, c in words]
+    return words
 
 
 def is_lie_element(L: AssocPoly) -> bool:
-    """Primitivity test (Friedrichs' criterion): the coproduct of L equals
-    L(x)1 + 1(x)L iff L has no constant term (whose one split 1(x)1 that
-    sum counts twice) and the proper splits of its words cancel."""
-    return () not in L._terms and not _coproduct(L)
+    """Dynkin-Specht-Wever test, linear in L and exact with repeated letters:
+    L is Lie iff it has no constant term and sum_w L[w]*_left_normed(w) is
+    sum_w len(w)*L[w]*w.  A word w is charged len(w) << len(w) units, as the CLI bounds it."""
+    if () in L._terms:
+        return False
+    if _meter.get() is not None:
+        _charge(sum(len(w) << len(w) for w in L._terms))
+    acc: dict[tuple, Coefficient] = {}
+    for word, c in L._terms.items():
+        _accumulate(acc, word, -len(word) * c)
+        for u, s in _left_normed(word):
+            _accumulate(acc, u, s * c)
+    return not acc
+
+
+def _commutator_expansion(w: Word, rank: dict, cache: dict) -> list[tuple[tuple, int]]:
+    """The associative words of w under {a,b} = ab - ba with their
+    coefficients, each letter written as its `rank`, memoized per
+    subword.  For a word without repeated letters they are 2^(degree-1)
+    distinct words of coefficient +-1."""
+    got = cache.get(w)
+    if got is None:
+        if w.is_leaf:
+            got = [((rank[w.var],), 1)]
+        else:
+            left = _commutator_expansion(w.left, rank, cache)
+            right = _commutator_expansion(w.right, rank, cache)
+            got = [(u + v, c * d) for u, c in left for v, d in right]
+            got += [(v + u, -c * d) for u, c in left for v, d in right]
+        cache[w] = got
+    return got
+
+
+def _least_letter_words(w: Word, rank: dict, cache: dict) -> list[tuple[tuple, int]]:
+    """The words of w's commutator expansion that start with its least
+    letter: those of the side holding it, each followed by every word of
+    the other side, negated when that side is the right one."""
+    if w.is_leaf:
+        return [((rank[w.var],), 1)]
+    first, second, sign = w.left, w.right, 1
+    if min(second.varset) < min(first.varset):
+        first, second, sign = second, first, -1
+    head = _least_letter_words(first, rank, cache)
+    rest = _commutator_expansion(second, rank, cache)
+    return [(u + v, sign * c * d) for u, c in head for v, d in rest]
 
 
 class ExteriorElem(Linear):

@@ -61,7 +61,7 @@ from .ac import (
     enumerate_polylinear_basis,
     i_normal_form,
 )
-from .assoc import AssocPoly
+from .assoc import AssocPoly, _commutator_expansion, _least_letter_words, _left_normed
 from .gp import (
     GPPoly,
     Monomial,
@@ -235,11 +235,11 @@ def _open_difference(g: GPPoly) -> tuple[Variable, Variable, GPPoly] | None:
 def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
     """f, linear in x, as an associative word in bracket-multiplication
     letters applied to x; the letters are the normal factor words."""
-    acc = AssocPoly.zero()
-    for w, c in f.terms():
+    acc: dict[tuple, Coefficient] = {}
+    for w, c in f._terms.items():
         op = i_normal_form(w, x)
-        acc = acc + AssocPoly.word(op.factors, c * op.sign)
-    return acc
+        _accumulate(acc, op.factors, c * op.sign)
+    return AssocPoly(acc)
 
 
 def _relabel(
@@ -296,20 +296,17 @@ def _friedrichs_basis(xs: Sequence[Variable], index: Mapping[Word, int], block_w
 
     For each set partition of x2..xn, each choice of a normal word per
     block, and each order of the blocks after a1, the block holding x2:
-    the commutator [...[[a1, a2], a3], ..., ak] in the free associative
-    algebra on the block words, each of its words u1...uk read as the
-    operator word {u1,{u2,...{uk,x1}...}} and normalized.
+    the commutator [...[[a1, a2], a3], ..., ak] (`_left_normed`) of the
+    block words, each of its words u1...uk read as the operator word
+    {u1,{u2,...{uk,x1}...}} and normalized.
     """
     x1 = Word.leaf(xs[0])
     rows = []
     for part in _set_partitions(xs[1:]):
         for letters in itertools.product(*(block_words[frozenset(b)] for b in part)):
             for rest in itertools.permutations(letters[1:]):
-                words = [((letters[0],), 1)]
-                for a in rest:
-                    words = [(u + (a,), c) for u, c in words] + [((a,) + u, -c) for u, c in words]
                 row: dict[int, int] = {}
-                for u, c in words:
+                for u, c in _left_normed(letters[:1] + rest):
                     w = x1
                     for a in reversed(u):
                         s, w = bracket_normal(a, w)
@@ -496,38 +493,6 @@ def linearize(f: GPPoly) -> GPPoly:
                 kept[m] = c
         result = GPPoly(kept)
     return result
-
-
-def _commutator_expansion(w: Word, rank: dict, cache: dict) -> list[tuple[tuple, int]]:
-    """The associative words of w under {a,b} = ab - ba with their
-    coefficients, each letter written as its `rank`, memoized per
-    subword.  For a word without repeated letters they are 2^(degree-1)
-    distinct words of coefficient +-1."""
-    got = cache.get(w)
-    if got is None:
-        if w.is_leaf:
-            got = [((rank[w.var],), 1)]
-        else:
-            left = _commutator_expansion(w.left, rank, cache)
-            right = _commutator_expansion(w.right, rank, cache)
-            got = [(u + v, c * d) for u, c in left for v, d in right]
-            got += [(v + u, -c * d) for u, c in left for v, d in right]
-        cache[w] = got
-    return got
-
-
-def _least_letter_words(w: Word, rank: dict, cache: dict) -> list[tuple[tuple, int]]:
-    """The words of w's commutator expansion that start with its least
-    letter: those of the side holding it, each followed by every word of
-    the other side, negated when that side is the right one."""
-    if w.is_leaf:
-        return [((rank[w.var],), 1)]
-    first, second, sign = w.left, w.right, 1
-    if min(second.varset) < min(first.varset):
-        first, second, sign = second, first, -1
-    head = _least_letter_words(first, rank, cache)
-    rest = _commutator_expansion(second, rank, cache)
-    return [(u + v, sign * c * d) for u, c in head for v, d in rest]
 
 
 def _poisson_form_size(f: GPPoly) -> int:

@@ -48,7 +48,8 @@ class RowReducer:
     def residual(self, row: Mapping[int, Coefficient]) -> dict[int, Coefficient]:
         """`row`, given by its nonzero `int`/`Fraction` entries, minus the
         combination of basis rows that clears every pivot column; empty
-        when `row` is in the row space."""
+        when `row` is in the row space.  Charges the row's nonzeros."""
+        _charge(len(row))
         work = dict(row)
         pivots = self.pivots
         # Subtracting a basis row changes no other pivot column (the basis
@@ -65,7 +66,6 @@ class RowReducer:
         for j in compress(self._columns, row):  # the nonzero cells
             x = row[j]
             work[j] = x if type(x) is int else _coefficient(x)
-        _charge(len(work))
         work = self.residual(work)
         if not work:
             return False

@@ -644,18 +644,19 @@ def raw_words(variables, max_leaves=4):
     )
 
 
-def ac_polys(variables, max_terms=3, max_leaves=4):
-    def assemble(pairs):
-        total = ACPoly.zero()
-        for w, c in pairs:
-            total = total + c * normalize_word(w)
-        return total
+def _ac_sum(pairs) -> ACPoly:
+    total = ACPoly.zero()
+    for w, c in pairs:
+        total = total + c * normalize_word(w)
+    return total
 
+
+def ac_polys(variables, max_terms=3, max_leaves=4):
     return st.lists(
         st.tuples(raw_words(variables, max_leaves), coefficients),
         min_size=0,
         max_size=max_terms,
-    ).map(assemble)
+    ).map(_ac_sum)
 
 
 def gp_polys(variables, max_terms=3, max_factors=2, max_leaves=3):
@@ -678,20 +679,35 @@ def gp_polys(variables, max_terms=3, max_factors=2, max_leaves=3):
     ).map(assemble)
 
 
+def linear_words(x: Variable, variables, max_height=3):
+    """Words holding `x` once, built along their path to `x`, innermost
+    step first: each step brackets a word over `variables` onto the left
+    or the right."""
+    spine = st.lists(st.tuples(raw_words(variables, 2), st.booleans()), max_size=max_height)
+
+    def build(steps):
+        w = Word.leaf(x)
+        for a, left in steps:
+            w = Word.node(a, w) if left else Word.node(w, a)
+        return w
+
+    return spine.map(build)
+
+
+def linear_ac_polys(x: Variable, variables, max_terms=3, max_height=3):
+    """AC elements linear in `x`: sums of multiples of `linear_words`."""
+    return st.lists(
+        st.tuples(linear_words(x, variables, max_height), coefficients), max_size=max_terms
+    ).map(_ac_sum)
+
+
 def linear_gp_polys(x: Variable, variables, max_terms=3, max_factors=2, max_height=3):
     """Elements linear in `x`: each term a coefficient times factors over
-    `variables` times one word holding `x` once.  That word is built along
-    its path to `x`, innermost step first: each step brackets a word over
-    `variables` onto the left or the right, and no step leaves a bare `x`
-    factor."""
-    spine = st.lists(st.tuples(raw_words(variables, 2), st.booleans()), max_size=max_height)
+    `variables` times one word holding `x` once (`linear_words`)."""
 
     def assemble(termspecs):
         total = GPPoly.zero()
-        for rest, steps, c in termspecs:
-            w = Word.leaf(x)
-            for a, left in steps:
-                w = Word.node(a, w) if left else Word.node(w, a)
+        for rest, w, c in termspecs:
             g = GPPoly.constant(c) * GPPoly.from_ac(normalize_word(w))
             for u in rest:
                 g = g * GPPoly.from_ac(normalize_word(u))
@@ -700,7 +716,9 @@ def linear_gp_polys(x: Variable, variables, max_terms=3, max_factors=2, max_heig
 
     return st.lists(
         st.tuples(
-            st.lists(raw_words(variables, 3), max_size=max_factors), spine, coefficients
+            st.lists(raw_words(variables, 3), max_size=max_factors),
+            linear_words(x, variables, max_height),
+            coefficients,
         ),
         max_size=max_terms,
     ).map(assemble)

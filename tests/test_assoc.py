@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from freegp.assoc import (
@@ -21,6 +21,7 @@ from freegp.linalg import solve
 import helpers
 
 LETTERS = ("u1", "u2", "u3", "u4")
+U1, U2 = AssocPoly.letter("u1"), AssocPoly.letter("u2")
 
 
 def assoc_polys(letters=LETTERS, max_terms=3, max_len=3):
@@ -81,6 +82,9 @@ class TestLieElement:
         assert is_lie_element(commutator(a, commutator(b, c)) - commutator(b, commutator(a, c)))
 
     @settings(max_examples=200)
+    # repeated letters: [u1,[u1,u2]] is Lie and u1*u1 is not
+    @example(f=commutator(U1, commutator(U1, U2)), c=0, a=U1, b=U2)
+    @example(f=U1 * U1, c=0, a=U1, b=U2)
     @given(
         helpers.assoc_polys(LETTERS),
         st.sampled_from([0, 1, -2, Fraction(1, 3)]),

