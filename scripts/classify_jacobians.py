@@ -6,7 +6,7 @@ two stages (`identities.jacobian_space`): stage 1 writes down and
 reduces the left-normed basis of the kernel of x1, K = (2n-4)!! vectors
 by Friedrichs' criterion; stage 2 takes the annihilator of that
 kernel, the rows of x1, one row at a time, relabels it to x2, ..., xn
-in turn (each word only when a row first holds it, on its normal key),
+in turn (each word only when a row first holds it),
 restricts each relabeled row to the kernel, and adds it only when its
 residual against the rows kept so far is nonzero, until the rank is K.
 At n=7 this takes 2.7-3.0 s (basis 0.9-1.0 s, stage 2 1.8-2.0 s) and 53 MB

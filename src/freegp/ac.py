@@ -6,8 +6,11 @@ and every word rewrites to a signed *normal* word or to zero; normal
 words (each node carries its smaller child on the left) form a linear
 basis.  "Smaller" is the one word order, `Word.key`: degree first, then
 the left subword, then the right subword, with generator order at the
-leaves.  Everything here is exact and immutable: rewriting is
-deterministic, no operation mutates its arguments, and coefficients are
+leaves.  Words are interned: they are built only by `Word.leaf` and
+`Word.node`, equality of words is identity, and a copied or unpickled
+word is the same instance, so every dict and set keyed by words, or by
+tuples of them, hashes and compares in C.  Everything here is exact and
+immutable: rewriting is deterministic, no operation mutates its arguments, and coefficients are
 integer-first: an integral coefficient built by a constructor is a plain
 `int`, and only a non-integral one is a `fractions.Fraction`.  Mixed
 `int`/`Fraction` arithmetic is exact and the two types agree on `==`
@@ -90,11 +93,15 @@ class Variable(NamedTuple):
 class Word:
     """A nonassociative word: a generator leaf or a bracket of two words.
 
-    Instances are immutable, compare structurally, and carry their
-    degree, leaf sequence and order key precomputed.
+    Words are interned: `leaf` and `node` are the only constructors, and
+    each returns the one instance of its word, so equal words are the
+    same object.  Equality and hashing are the object defaults, identity,
+    done in C; copies and unpickled words are that same instance too.
+    Instances are immutable and carry their degree, leaf sequence and
+    order key precomputed.
     """
 
-    __slots__ = ("var", "left", "right", "degree", "leaves", "varset", "key", "_hash")
+    __slots__ = ("var", "left", "right", "degree", "leaves", "varset", "key")
 
     var: Variable | None
     left: "Word | None"
@@ -102,28 +109,32 @@ class Word:
 
     @classmethod
     def leaf(cls, v: Variable) -> "Word":
-        w = object.__new__(cls)
-        w.var = v
-        w.left = None
-        w.right = None
-        w.degree = 1
-        w.leaves = (v,)
-        w.varset = frozenset((v,))
-        w.key = (1, v)  # hashes and orders as (1, (v.base, v.index))
-        w._hash = hash(w.key)
+        w = _LEAVES.get(v)
+        if w is None:
+            w = object.__new__(cls)
+            w.var = v
+            w.left = None
+            w.right = None
+            w.degree = 1
+            w.leaves = (v,)
+            w.varset = frozenset((v,))
+            w.key = (1, v)  # orders as (1, (v.base, v.index))
+            w = _LEAVES.setdefault(v, w)  # another thread may have won
         return w
 
     @classmethod
     def node(cls, left: "Word", right: "Word") -> "Word":
-        w = object.__new__(cls)
-        w.var = None
-        w.left = left
-        w.right = right
-        w.degree = left.degree + right.degree
-        w.leaves = left.leaves + right.leaves
-        w.varset = left.varset | right.varset
-        w.key = (w.degree, left.key, right.key)
-        w._hash = hash(w.key)
+        w = _NODES.get((left, right))
+        if w is None:
+            w = object.__new__(cls)
+            w.var = None
+            w.left = left
+            w.right = right
+            w.degree = left.degree + right.degree
+            w.leaves = left.leaves + right.leaves
+            w.varset = left.varset | right.varset
+            w.key = (w.degree, left.key, right.key)
+            w = _NODES.setdefault((left, right), w)
         return w
 
     @property
@@ -133,22 +144,31 @@ class Word:
     def count(self, v: Variable) -> int:
         return self.leaves.count(v)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Word) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __lt__(self, other: "Word") -> bool:
         return self.key < other.key
+
+    def __reduce__(self):
+        if self.is_leaf:
+            return Word.leaf, (self.var,)
+        return Word.node, (self.left, self.right)
+
+    def __copy__(self) -> "Word":
+        return self
+
+    def __deepcopy__(self, memo) -> "Word":
+        return self
 
     def __repr__(self) -> str:
         if self.is_leaf:
             return self.var.name
         return "{" + repr(self.left) + "," + repr(self.right) + "}"
 
+
+# The intern tables: every word ever built, by its variable or its pair
+# of (interned) children.  They are strong: a process builds words for
+# one command or one script, and keeps most of them alive anyway.
+_LEAVES: dict[Variable, Word] = {}
+_NODES: dict[tuple[Word, Word], Word] = {}
 
 _word_key = attrgetter("key")  # sort key of the one word order
 
@@ -505,30 +525,32 @@ def enumerate_polylinear_basis(
         raise ValueError("duplicate variables")
     if memo is None:
         memo = {}
+    return _polylinear_words(frozenset(vs), memo)
 
-    def build(s: frozenset) -> list[Word]:
-        got = memo.get(s)
-        if got is not None:
-            return got
-        members = sorted(s)
-        if len(members) == 1:
-            res = [Word.leaf(members[0])]
-        else:
-            res = []
-            anchor, rest = members[0], members[1:]
-            # each unordered split {L, R} is visited once: the anchor sits in L
-            for k in range(len(rest)):
-                for partners in itertools.combinations(rest, k):
-                    left_set = frozenset((anchor, *partners))
-                    right_set = s - left_set
-                    for u in build(left_set):
-                        for v in build(right_set):
-                            res.append(bracket_normal(u, v)[1])
-            res.sort(key=_word_key)
-        memo[s] = res
-        return res
 
-    return build(frozenset(vs))
+def _polylinear_words(s: frozenset, memo: dict[frozenset, list[Word]]) -> list[Word]:
+    """`enumerate_polylinear_basis` of the set `s`, memoized in `memo`
+    (an argument: a recursive closure over it is a reference cycle)."""
+    got = memo.get(s)
+    if got is not None:
+        return got
+    members = sorted(s)
+    if len(members) == 1:
+        res = [Word.leaf(members[0])]
+    else:
+        res = []
+        anchor, rest = members[0], members[1:]
+        # each unordered split {L, R} is visited once: the anchor sits in L
+        for k in range(len(rest)):
+            for partners in itertools.combinations(rest, k):
+                left_set = frozenset((anchor, *partners))
+                right_set = s - left_set
+                for u in _polylinear_words(left_set, memo):
+                    for v in _polylinear_words(right_set, memo):
+                        res.append(bracket_normal(u, v)[1])
+        res.sort(key=_word_key)
+    memo[s] = res
+    return res
 
 
 def format_linear(items: Iterable[tuple[str, Coefficient]]) -> str:

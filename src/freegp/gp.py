@@ -190,25 +190,27 @@ def _homomorphism(f: GPPoly, image, bracket, constant):
     the factors; a word maps once to `image(var)` at a leaf and to
     `bracket` of the images of its two sides at a node."""
     cache: dict[Word, object] = {}
-
-    def image_of(w: Word):
-        got = cache.get(w)
-        if got is not None:
-            return got
-        if w.is_leaf:
-            res = image(w.var)
-        else:
-            res = bracket(image_of(w.left), image_of(w.right))
-        cache[w] = res
-        return res
-
     total = constant(0)
     for m, c in f._terms.items():
         g = constant(c)
         for w in m:
-            g = g * image_of(w)
+            g = g * _image_of(w, image, bracket, cache)
         total = total + g
     return total
+
+
+def _image_of(w: Word, image, bracket, cache: dict[Word, object]):
+    """The image of `w` under `_homomorphism`, memoized in `cache` (an
+    argument: a recursive closure over it is a reference cycle)."""
+    got = cache.get(w)
+    if got is None:
+        if w.is_leaf:
+            got = image(w.var)
+        else:
+            left = _image_of(w.left, image, bracket, cache)
+            got = bracket(left, _image_of(w.right, image, bracket, cache))
+        cache[w] = got
+    return got
 
 
 def substitute(f: GPPoly, images: Mapping[Variable, GPPoly]) -> GPPoly:

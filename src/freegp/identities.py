@@ -243,33 +243,29 @@ def multiplication_operator(f: ACPoly, x: Variable) -> AssocPoly:
 
 
 def _relabel(
-    w: Word, images: Mapping[Variable, Variable], memo: dict[Word, tuple[int, tuple]]
-) -> tuple[int, tuple]:
-    """(sign, key of the normal word) of the polylinear normal word `w`
-    with each leaf v in `images` renamed to images[v].
+    w: Word, images: Mapping[Variable, Variable], memo: dict[Word, tuple[int, Word]]
+) -> tuple[int, Word]:
+    """(sign, normal word) of the polylinear normal word `w` with each
+    leaf v in `images` renamed to images[v].
 
     A renaming that keeps the word polylinear never brackets a word with
-    itself, so each node is the normal key of its renamed sides: ordered
-    by the comparison of `bracket_normal`, the sign -1 when it swaps them.
-    No `Word` is built; the caller looks the key up.  `memo` keeps the
-    result per subword, which basis words share, and a subword without a
-    renamed leaf keeps its own key.  (`memo` is an argument because a
-    recursive closure over it is a reference cycle: each memo would live
-    until a full garbage collection.)
+    itself, so each node is `bracket_normal` of its renamed sides.
+    `memo` keeps the result per subword, which basis words share, and a
+    subword without a renamed leaf is itself.  (`memo` is an argument
+    because a recursive closure over it is a reference cycle: each memo
+    would live until a full garbage collection.)
     """
     if images.keys().isdisjoint(w.varset):
-        return 1, w.key
+        return 1, w
     got = memo.get(w)
     if got is None:
         if w.is_leaf:
-            got = (1, (1, images[w.var]))
+            got = (1, Word.leaf(images[w.var]))
         else:
-            sl, kl = _relabel(w.left, images, memo)
-            sr, kr = _relabel(w.right, images, memo)
-            if kl < kr:
-                got = (sl * sr, (w.degree, kl, kr))
-            else:
-                got = (-sl * sr, (w.degree, kr, kl))
+            sl, ul = _relabel(w.left, images, memo)
+            sr, ur = _relabel(w.right, images, memo)
+            s, u = bracket_normal(ul, ur)
+            got = (s * sl * sr, u)
         memo[w] = got
     return got
 
@@ -391,11 +387,11 @@ def jacobian_space(n: int) -> list[ACPoly]:
 
     The rows are interleaved: each row of x1 in turn is relabeled for
     x2, x3, ..., xn, until the rank reaches K.  A word is relabeled only
-    when a row first holds it, and on keys (`_relabel`), so no word is
-    built.  Each restricted row is first cleared against the rows kept
-    so far (`RowReducer.residual`), and only a nonzero residual is
-    added.  The row space does not depend on the order of its rows, and
-    its reduced row-echelon form is unique, so neither does the result.
+    when a row first holds it (`_relabel`).  Each restricted row is
+    first cleared against the rows kept so far (`RowReducer.residual`),
+    and only a nonzero residual is added.  The row space does not depend
+    on the order of its rows, and its reduced row-echelon form is unique,
+    so neither does the result.
     At n = 7 rank 3,840 is reached after 15,636 rows, of which 3,840 are
     added, and 28,200 words are relabeled; in turn, variable by variable,
     it took 32,866 rows, every one added, after relabeling all 62,370.
@@ -417,7 +413,7 @@ def _kernel_space(n: int, words: list[Word], kernel: RowReducer) -> list[ACPoly]
         for f in range(len(words))
         if f not in kernel.pivots
     ]
-    index = {w.key: j for j, w in enumerate(words)}
+    index = {w: j for j, w in enumerate(words)}
     x1 = Variable("x", 1)
     # per variable xi: the transposition (x1 xi), the memo of `_relabel`
     # and word k -> (column, sign) of its image, filled as rows reach k
@@ -429,8 +425,8 @@ def _kernel_space(n: int, words: list[Word], kernel: RowReducer) -> list[ACPoly]
             for k, c in r:
                 got = moved.get(k)
                 if got is None:
-                    s, key = _relabel(words[k], images, memo)
-                    got = moved[k] = (index[key], s)
+                    s, u = _relabel(words[k], images, memo)
+                    got = moved[k] = (index[u], s)
                 j, s = got
                 for p, b in holders.get(j, ()):
                     _accumulate(row, p, s * c * b)

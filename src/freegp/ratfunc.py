@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .ac import Coefficient, Linear, _charge, _coefficient, _meter
+from .ac import Coefficient, Linear, _charge, _coefficient, _meter, format_linear
 
 __all__ = ["MultiPoly", "RatFunc"]
 
@@ -259,13 +259,22 @@ class MultiPoly(Linear):
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self._terms.items())))
 
-    def _key_str(self, e: tuple[int, ...]) -> str:
+    def __repr__(self) -> str:
+        keys = sorted(self._terms, reverse=True)
+        return format_linear((self._key_str(k), self._terms[k]) for k in keys)
+
+    def _key_str(self, key: int) -> str:
+        """The packed monomial `key` as a product of powers, variable 0
+        first; like `_derivative_lists`, it walks only the nonzero fields."""
+        n = len(self.vars)
+        rest = key & (1 << _BITS * n) - 1  # all but the degree
         pieces = []
-        for name, k in zip(self.vars, e):
-            if k == 1:
-                pieces.append(name)
-            elif k > 1:
-                pieces.append(f"{name}^{k}")
+        while rest:
+            s = (rest.bit_length() - 1) & -_BITS
+            e = rest >> s
+            rest ^= e << s
+            name = self.vars[n - 1 - s // _BITS]
+            pieces.append(name if e == 1 else f"{name}^{e}")
         return "*".join(pieces)
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .ac import Variable
+from .ac import Variable, Word
 from .gp import GPPoly, _homomorphism, _monomial_key, is_polylinear
 from .identities import _poisson_coordinates, _poisson_form_size
 from .ratfunc import MultiPoly, RatFunc
@@ -242,33 +242,41 @@ def _attempt_size(f: GPPoly, realization: Realization) -> int:
     """
     n = len(realization.var_names)
     twist = realization.kind == "gps"
-    degrees: dict = {}
+    degrees: dict[Word, int] = {}
     pairs = 0
 
     def size(d: int) -> int:
         return math.comb(n + d, d)
 
-    def degree(w) -> int:
-        nonlocal pairs
-        if w not in degrees:
-            if w.is_leaf:
-                degrees[w] = 2
-            else:
-                a, b = degree(w.left), degree(w.right)
-                pairs += n * size(a - 1) * size(b - 1)
-                degrees[w] = a + b - 2 + twist
-        return degrees[w]
-
     top = 0
     for m in f.monomials():
         d = 0
         for w in m:
-            dw = degree(w)
+            dw = _realized_degree(w, twist, degrees)
             pairs += size(d) * size(dw)
             d += dw
         top = max(top, d)
         pairs += size(top)
+    # each distinct word is evaluated once, a node as one bracket
+    for w in degrees:
+        if not w.is_leaf:
+            pairs += n * size(degrees[w.left] - 1) * size(degrees[w.right] - 1)
     return pairs
+
+
+def _realized_degree(w: Word, twist: bool, degrees: dict[Word, int]) -> int:
+    """Degree of the image of `w` in `_attempt_size`, memoized in
+    `degrees` (an argument: a recursive closure over it is a reference
+    cycle): 2 at a leaf, and a + b - 2, plus 1 under gps, at a node."""
+    got = degrees.get(w)
+    if got is None:
+        if w.is_leaf:
+            got = 2
+        else:
+            a = _realized_degree(w.left, twist, degrees)
+            got = a + _realized_degree(w.right, twist, degrees) - 2 + twist
+        degrees[w] = got
+    return got
 
 
 def identity_witness_search(

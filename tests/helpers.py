@@ -16,6 +16,7 @@ from freegp.ac import (
     _accumulate,
     _normal_form,
     enumerate_polylinear_basis,
+    format_linear,
     normalize_word,
 )
 from freegp.assoc import AssocPoly, commutator
@@ -85,6 +86,12 @@ def elevated_normal_form(w: Word, x: Variable):
     if elevated_key(ul, x) < elevated_key(ur, x):
         return sl * sr, Word.node(ul, ur)
     return -sl * sr, Word.node(ur, ul)
+
+
+def structural_word_eq(u: Word, v) -> bool:
+    """Test oracle for word equality: the structural `Word.__eq__` that
+    interning replaced by identity, comparing order keys."""
+    return u is v or (isinstance(v, Word) and u.key == v.key)
 
 
 def left_normed(variables) -> Word:
@@ -516,6 +523,23 @@ class TupleMultiPoly(Linear):
             elif k > 1:
                 pieces.append(f"{name}^{k}")
         return "*".join(pieces)
+
+
+def exponent_tuple_repr(p: MultiPoly) -> str:
+    """Test oracle for `MultiPoly.__repr__`: the rendering it replaced,
+    which unpacks every term into its exponent tuple (`terms()`) and
+    visits every variable name of it."""
+
+    def key_str(e: tuple[int, ...]) -> str:
+        pieces = []
+        for name, k in zip(p.vars, e):
+            if k == 1:
+                pieces.append(name)
+            elif k > 1:
+                pieces.append(f"{name}^{k}")
+        return "*".join(pieces)
+
+    return format_linear((key_str(e), c) for e, c in p.terms())
 
 
 # ---------------------------------------------------------------- realization oracle

@@ -1,7 +1,12 @@
 """Free anti-commutative algebra: normal forms, heights, flips, bases."""
 
+import copy
 import itertools
+import pickle
+import random
 import string
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,6 +17,7 @@ from freegp.ac import (
     ACPoly,
     Variable,
     Word,
+    _normal_form,
     ac_bracket,
     enumerate_polylinear_basis,
     flip,
@@ -29,8 +35,10 @@ from helpers import (
     ac_polys,
     acp,
     elevated_normal_form,
+    gp_polys,
     left_normed,
     raw_words,
+    structural_word_eq,
     word,
     xvars,
 )
@@ -65,6 +73,86 @@ class TestVariable:
         assert v.name == "t12"
         assert repr(v) == str(v) == f"{v}" == "t12"
         assert repr([v, V("x1")]) == "[t12, x1]"
+
+
+def tree_specs(variables, max_leaves=5):
+    """Raw word shapes as nested pairs of variables, built by `build`."""
+    return st.recursive(st.sampled_from(variables), lambda c: st.tuples(c, c), max_leaves=max_leaves)
+
+
+def build(spec) -> Word:
+    if isinstance(spec, Variable):
+        return Word.leaf(spec)
+    return Word.node(build(spec[0]), build(spec[1]))
+
+
+class TestInterning:
+    """Words are interned: equal words are one object, so equality and
+    hashing are by identity; the oracle compares the order keys."""
+
+    @settings(max_examples=300)
+    @given(raw_words(xvars(3), max_leaves=5), raw_words(xvars(3), max_leaves=5))
+    def test_identity_is_structural_equality(self, a, b):
+        for u, v in ((a, b), (a, a)):
+            assert (u is v) == (u == v) == structural_word_eq(u, v)
+        na, nb = _normal_form(a), _normal_form(b)
+        if na is not None and nb is not None:
+            u, v = na[1], nb[1]
+            assert (u is v) == (u == v) == structural_word_eq(u, v)
+            assert (u is v) == (len({u, v}) == 1)
+
+    @given(tree_specs(xvars(4)))
+    def test_the_same_tree_built_twice_is_one_word(self, spec):
+        u, v = build(spec), build(spec)
+        assert u is v
+        assert Word.node(u, v) is Word.node(v, u) is build((spec, spec))
+
+    @settings(max_examples=50)
+    @given(raw_words(xvars(3), max_leaves=6), ac_polys(xvars(3)), gp_polys(xvars(3)))
+    def test_copies_and_pickles_are_the_same_words(self, w, f, g):
+        assert copy.copy(w) is w and copy.deepcopy(w) is w
+        assert pickle.loads(pickle.dumps(w)) is w
+
+        def words(p):  # the words of its terms, each monomial's in turn
+            return [u for k in p._terms for u in (k if isinstance(k, tuple) else (k,))]
+
+        for x in (f, g):
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert y == x and (x - y).is_zero()
+                assert all(a is b for a, b in zip(words(x), words(y), strict=True))
+
+    def test_threads_building_the_same_words_get_one_object(self):
+        # variables no other test uses, so no thread finds these words built
+        vs = [Variable("q", 10**9 + i) for i in range(5)]
+        rng = random.Random(7)
+
+        def shape(k):
+            if k == 1:
+                return rng.choice(vs)
+            j = rng.randint(1, k - 1)
+            return (shape(j), shape(k - j))
+
+        specs = [shape(rng.randint(1, 8)) for _ in range(200)]
+        barrier = threading.Barrier(4)
+        built = [None] * 4
+
+        def work(i):
+            barrier.wait()
+            built[i] = [build(spec) for spec in specs]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the builds
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for words in built[1:]:
+            assert all(u is v for u, v in zip(words, built[0], strict=True))
+        assert [build(spec) for spec in specs] == built[0]
 
 
 class TestNormalize:

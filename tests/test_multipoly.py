@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from freegp.ratfunc import MAX_EXPONENT, MultiPoly
 
-from helpers import TupleMultiPoly, coefficients
+from helpers import TupleMultiPoly, coefficients, exponent_tuple_repr
 
 NAMES = [f"{c}{i}" for i in range(1, 13) for c in "xy"]  # 24 names
 
@@ -104,6 +104,25 @@ class TestAgainstTupleOracle:
             _same(MultiPoly.constant((), c), TupleMultiPoly.constant((), c))  # no variables
         for name in vars:
             _same(MultiPoly.variable(vars, name), TupleMultiPoly.variable(vars, name))
+
+
+class TestPrinting:
+    """`repr` walks only the nonzero exponent fields of each packed term;
+    the oracle unpacks every term into its full exponent tuple."""
+
+    @settings(max_examples=200)
+    @given(pairs())
+    def test_matches_exponent_tuple_oracle(self, pair):
+        vars, a, b = pair
+        p, q = MultiPoly(vars, a), MultiPoly(vars, b)
+        for r in (p, q, p - q, p + 3, -q + Fraction(1, 2)):
+            assert repr(r) == exponent_tuple_repr(r)
+
+    def test_first_last_and_largest_fields(self):
+        vars = ("x1", "y1", "x2")
+        p = MultiPoly(vars, {(MAX_EXPONENT, 0, 1): 2, (1, 0, 0): -1, (0, 0, 0): 5, (0, 1, MAX_EXPONENT): 1})
+        assert repr(p) == exponent_tuple_repr(p) == f"2*x1^{MAX_EXPONENT}*x2 + y1*x2^{MAX_EXPONENT} - x1 + 5"
+        assert repr(MultiPoly.zero(vars)) == exponent_tuple_repr(MultiPoly.zero(vars)) == "0"
 
 
 class TestDegreeGuard:
