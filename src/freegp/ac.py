@@ -7,9 +7,10 @@ words (each node carries its smaller child on the left) form a linear
 basis.  "Smaller" is the one word order, `Word.key`: degree first, then
 the left subword, then the right subword, with generator order at the
 leaves.  Words are interned: they are built only by `Word.leaf` and
-`Word.node`, equality of words is identity, and a copied or unpickled
-word is the same instance, so every dict and set keyed by words, or by
-tuples of them, hashes and compares in C.  Everything here is exact and
+`Word.node`, which return the one live instance of each word, equality
+of words is identity, and a copied or unpickled word is the same
+instance, so every dict and set keyed by words, or by tuples of them,
+hashes and compares in C.  Everything here is exact and
 immutable: rewriting is deterministic, no operation mutates its arguments, and coefficients are
 integer-first: an integral coefficient built by a constructor is a plain
 `int`, and only a non-integral one is a `fractions.Fraction`.  Mixed
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,14 +97,16 @@ class Word:
     """A nonassociative word: a generator leaf or a bracket of two words.
 
     Words are interned: `leaf` and `node` are the only constructors, and
-    each returns the one instance of its word, so equal words are the
-    same object.  Equality and hashing are the object defaults, identity,
-    done in C; copies and unpickled words are that same instance too.
+    each returns the one live instance of its word, so equal words are
+    the same object.  Equality and hashing are the object defaults,
+    identity, done in C; copies and unpickled words are that same
+    instance too.  The intern tables hold words weakly: a word that
+    nothing refers to is freed, and a later build makes a new instance.
     Instances are immutable and carry their degree, leaf sequence and
     order key precomputed.
     """
 
-    __slots__ = ("var", "left", "right", "degree", "leaves", "varset", "key")
+    __slots__ = ("var", "left", "right", "degree", "leaves", "varset", "key", "__weakref__")
 
     var: Variable | None
     left: "Word | None"
@@ -109,7 +114,8 @@ class Word:
 
     @classmethod
     def leaf(cls, v: Variable) -> "Word":
-        w = _LEAVES.get(v)
+        entry = _LEAVES.get(v)
+        w = entry() if entry is not None else None
         if w is None:
             w = object.__new__(cls)
             w.var = v
@@ -119,12 +125,14 @@ class Word:
             w.leaves = (v,)
             w.varset = frozenset((v,))
             w.key = (1, v)  # orders as (1, (v.base, v.index))
-            w = _LEAVES.setdefault(v, w)  # another thread may have won
+            w = _intern(_LEAVES, v, w, _forget_leaf)
         return w
 
     @classmethod
     def node(cls, left: "Word", right: "Word") -> "Word":
-        w = _NODES.get((left, right))
+        key = (left, right)
+        entry = _NODES.get(key)
+        w = entry() if entry is not None else None
         if w is None:
             w = object.__new__(cls)
             w.var = None
@@ -134,7 +142,7 @@ class Word:
             w.leaves = left.leaves + right.leaves
             w.varset = left.varset | right.varset
             w.key = (w.degree, left.key, right.key)
-            w = _NODES.setdefault((left, right), w)
+            w = _intern(_NODES, key, w, _forget_node)
         return w
 
     @property
@@ -164,11 +172,46 @@ class Word:
         return "{" + repr(self.left) + "," + repr(self.right) + "}"
 
 
-# The intern tables: every word ever built, by its variable or its pair
-# of (interned) children.  They are strong: a process builds words for
-# one command or one script, and keeps most of them alive anyway.
-_LEAVES: dict[Variable, Word] = {}
-_NODES: dict[tuple[Word, Word], Word] = {}
+# The intern tables: every live word, by its variable or by its pair of
+# (interned) children.  An entry holds its word weakly: a word that nothing
+# else refers to dies, and its callback drops the entry, so a process that
+# runs many commands keeps only the words still in use.  No one can compare
+# a dead word with a later build of it, so identity stays equality.  The
+# insert (`dict.setdefault`) and the removal (`_remove_dead_weakref`, the
+# helper of `weakref.WeakValueDictionary`, which deletes a key only while
+# its entry is dead) are each atomic, so two threads that build one word
+# get one object and no removal drops a newer entry.
+class _Entry(weakref.ref):
+    """A weak reference to an interned word that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+_LEAVES: dict[Variable, _Entry] = {}
+_NODES: dict[tuple[Word, Word], _Entry] = {}
+
+
+def _forget_leaf(ref: _Entry) -> None:
+    _remove_dead_weakref(_LEAVES, ref.key)
+
+
+def _forget_node(ref: _Entry) -> None:
+    _remove_dead_weakref(_NODES, ref.key)
+
+
+def _intern(table: dict, key, w: Word, forget) -> Word:
+    """The live word of `table` under `key`, entering the new word `w` if there is none."""
+    new = _Entry(w, forget)
+    new.key = key
+    ref = table.setdefault(key, new)
+    while ref is not new:
+        old = ref()
+        if old is not None:
+            return old  # another thread won
+        _remove_dead_weakref(table, key)
+        ref = table.setdefault(key, new)
+    return w
+
 
 _word_key = attrgetter("key")  # sort key of the one word order
 
@@ -260,7 +303,8 @@ class Linear:
     subclass builds them through its own constructors and products, and
     the constructors store an integral coefficient as an `int`.
     Subclasses add the key product, the term order of `terms()` and the
-    rendering of one key (`_key_str`).
+    rendering of one key of `terms()` (`_key_str`), or their own
+    `__repr__` (`MultiPoly`).
     """
 
     __slots__ = ("_terms",)

@@ -219,11 +219,7 @@ class MultiPoly(Linear):
         out: dict[int, tuple[list[int], list[Coefficient]]] = {}
         get = out.get
         for k, c in self._terms.items():
-            rest = k & fields
-            while rest:
-                s = (rest.bit_length() - 1) & -_BITS
-                e = rest >> s
-                rest ^= e << s
+            for s, e in _fields(k & fields):
                 lists = get(s)
                 if lists is None:
                     out[s] = ([k], [c * e])
@@ -260,22 +256,29 @@ class MultiPoly(Linear):
         return hash((self.vars, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        keys = sorted(self._terms, reverse=True)
-        return format_linear((self._key_str(k), self._terms[k]) for k in keys)
-
-    def _key_str(self, key: int) -> str:
-        """The packed monomial `key` as a product of powers, variable 0
-        first; like `_derivative_lists`, it walks only the nonzero fields."""
+        # not `Linear.__repr__`: that renders the exponent tuples of
+        # `terms()`, and this walks only the nonzero fields of each key
         n = len(self.vars)
-        rest = key & (1 << _BITS * n) - 1  # all but the degree
+        degree_free = (1 << _BITS * n) - 1
         pieces = []
-        while rest:
-            s = (rest.bit_length() - 1) & -_BITS
-            e = rest >> s
-            rest ^= e << s
-            name = self.vars[n - 1 - s // _BITS]
-            pieces.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(pieces)
+        for k in sorted(self._terms, reverse=True):
+            powers = []
+            for s, e in _fields(k & degree_free):
+                name = self.vars[n - 1 - s // _BITS]
+                powers.append(name if e == 1 else f"{name}^{e}")
+            pieces.append(("*".join(powers), self._terms[k]))
+        return format_linear(pieces)
+
+
+def _fields(rest: int):
+    """(shift, exponent) of each nonzero exponent field of `rest`, a packed
+    monomial without its degree field, highest field (variable 0) first:
+    the walk takes the highest set bit's field and clears it."""
+    while rest:
+        s = (rest.bit_length() - 1) & -_BITS
+        e = rest >> s
+        rest ^= e << s
+        yield s, e
 
 
 class RatFunc:

@@ -238,7 +238,8 @@ def _attempt_size(f: GPPoly, realization: Realization) -> int:
     under gps; each distinct word is evaluated once.  A product of
     degrees a and b pairs S(a) * S(b) terms, and adding a monomial's
     value to the running sum copies at most S(top) terms, for the top
-    degree so far.
+    degree of f's monomials: a bound for every order of the terms, so
+    the count depends on f alone.
     """
     n = len(realization.var_names)
     twist = realization.kind == "gps"
@@ -249,14 +250,14 @@ def _attempt_size(f: GPPoly, realization: Realization) -> int:
         return math.comb(n + d, d)
 
     top = 0
-    for m in f.monomials():
+    for m in f._terms:
         d = 0
         for w in m:
             dw = _realized_degree(w, twist, degrees)
             pairs += size(d) * size(dw)
             d += dw
         top = max(top, d)
-        pairs += size(top)
+    pairs += len(f._terms) * size(top)
     # each distinct word is evaluated once, a node as one bracket
     for w in degrees:
         if not w.is_leaf:

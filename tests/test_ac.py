@@ -7,12 +7,14 @@ import random
 import string
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import freegp.ac
 from freegp.ac import (
     ACPoly,
     Variable,
@@ -153,6 +155,20 @@ class TestInterning:
         for words in built[1:]:
             assert all(u is v for u, v in zip(words, built[0], strict=True))
         assert [build(spec) for spec in specs] == built[0]
+
+    def test_a_word_nothing_holds_leaves_the_tables(self):
+        # variables no other test uses, so only this test holds their words
+        vs = [Variable("q", 2 * 10**9 + i) for i in range(3)]
+        w = build((vs[0], (vs[1], vs[2])))
+        key = (w.left, w.right)
+        assert freegp.ac._NODES[key]() is w and freegp.ac._LEAVES[vs[0]]() is w.left
+        gone = weakref.ref(w)
+        del w, key
+        assert gone() is None
+        assert not any(v in vs for v in freegp.ac._LEAVES)
+        assert not any(e().varset.intersection(vs) for e in freegp.ac._NODES.values())
+        # a later build is a new instance, and the one word again
+        assert build((vs[0], (vs[1], vs[2]))) is build((vs[0], (vs[1], vs[2])))
 
 
 class TestNormalize:

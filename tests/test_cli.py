@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, JSON schema, exit codes."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -274,6 +275,22 @@ class TestConsecutiveCalls:
         code, doc = run_json(capsys, *realize, "{t1,t2}")
         assert code == 1 and doc["result"] == "assignment does not cover t1"
         assert dict(COMMANDS["realize"].arguments)["--assign"]["default"] == []
+
+    def test_commands_keep_no_words(self, capsys):
+        # the intern tables hold words weakly, so a process that runs many
+        # commands keeps none of the words they built
+        argvs = [
+            ("jacobian-space", "--n", "5"),
+            ("reduce", "{x1,{x2,{x3,x4}}}*x5"),
+            ("witness", "--model", "gps", "--m", "3", "--budget", "5", "{t1,{t2,t3}}"),
+            ("linearize", "{x1,{x1,{x1,x2}}}"),
+        ]
+        gc.collect()
+        held = len(freegp.ac._NODES)
+        for argv in argvs * 2:
+            assert run(capsys, *argv)[0] == 0
+            gc.collect()
+            assert len(freegp.ac._NODES) == held
 
     def test_assignments_do_not_accumulate(self, capsys):
         argv = ("realize", "--model", "poisson", "--n", "1", "--assign", "t1=x1", "--assign", "t2=y1", "{t1,t2}")

@@ -496,6 +496,17 @@ class TestWitnessSearch:
         digest = hashlib.sha256("\n".join(["random 1", *rows, repr(w.value)]).encode()).hexdigest()
         assert digest == "3890ba75d3122a00c069ebd74ef43cf8775fa24db3812e966f47bacc67e11d9b"
 
+    def test_attempt_size_does_not_depend_on_term_order(self):
+        # monomials of degrees 6 and 4 (each letter realizes degree 2, the
+        # bracket 2 + 2 - 2), added in both orders
+        f, g = gp("t1*t2*t3 + {t1,t2}*t3"), gp("{t1,t2}*t3 + t1*t2*t3")
+        assert f == g and list(f._terms) != list(g._terms)
+        r = Realization("poisson", 1)  # N = 2 variables: S(d) = C(2 + d, d)
+        products = (1 * 6 + 6 * 6 + 15 * 6) + (1 * 6 + 6 * 6)  # t1*t2*t3, then t3*{t1,t2}
+        bracket = 2 * 3 * 3  # {t1,t2}: N * S(1) * S(1)
+        sums = 2 * 28  # two additions of at most S(6) terms each
+        assert _attempt_size(f, r) == _attempt_size(g, r) == products + bracket + sums
+
     def test_normal_form_guard_admits_the_jacobiator(self):
         f = gp(J3_T_TEXT)
         assert _poisson_form_size(f) == 3 * 12
