@@ -10,13 +10,14 @@ leaves.  Words are interned: they are built only by `Word.leaf` and
 `Word.node`, which return the one live instance of each word, equality
 of words is identity, and a copied or unpickled word is the same
 instance, so every dict and set keyed by words, or by tuples of them,
-hashes and compares in C.  Everything here is exact and
-immutable: rewriting is deterministic, no operation mutates its arguments, and coefficients are
-integer-first: an integral coefficient built by a constructor is a plain
-`int`, and only a non-integral one is a `fractions.Fraction`.  Mixed
-`int`/`Fraction` arithmetic is exact and the two types agree on `==`
-and `hash`, so term dicts compare and hash as if all were `Fraction`;
-a division always goes through `Fraction`, never `int / int`.
+hashes and compares in C.  Everything here is exact and immutable:
+rewriting is deterministic, no operation mutates its arguments, and
+coefficients are integer-first: an integral coefficient built by a
+constructor is a plain `int`, and only a non-integral one is a
+`fractions.Fraction`.  Mixed `int`/`Fraction` arithmetic is exact and
+the two types agree on `==` and `hash`, so term dicts compare and hash
+as if all were `Fraction`; a division always goes through `Fraction`,
+never `int / int`.
 """
 
 from __future__ import annotations

