@@ -241,11 +241,16 @@ _VALUE_OPTIONS = frozenset(
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given a name in COMMANDS, only
+    of that one.  The others are stubs that are never parsed with: their
+    names and help lines keep the usage line, the help listing and the
+    invalid-choice message."""
     # The global flags are accepted before and after the subcommand.  They
     # have no defaults here (main supplies them): each subcommand's copy
     # would write its default over a flag given before the subcommand.
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    # No parser takes an abbreviation: `main` reads `--json` as spelled.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
     common.add_argument("--seed", type=int, help="seed for randomized search")
 
@@ -253,11 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="freegp",
         description="Exact kernel for free anti-commutative and generic Poisson algebras.",
         parents=[common],
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=command.help, epilog=command.epilog)
-        for argument, kwargs in command.arguments:
+    for name, spec in COMMANDS.items():
+        if command is not None and name != command:
+            sub.add_parser(name, help=spec.help, add_help=False, allow_abbrev=False)
+            continue
+        p = sub.add_parser(name, parents=[common], help=spec.help, epilog=spec.epilog, allow_abbrev=False)
+        for argument, kwargs in spec.arguments:
             p.add_argument(argument, **kwargs)
     return parser
 
@@ -285,6 +294,19 @@ def _command_name(argv) -> str:
     return ""
 
 
+def _invoked_command(argv) -> str | None:
+    """The subcommand argparse will run on `argv`, when every argument
+    before it is a global flag spelled exactly; otherwise None."""
+    args = iter(argv)
+    for a in args:
+        if a == "--seed":
+            if next(args, "-").startswith("-"):
+                return None  # no value, or one argparse may take for a flag
+        elif a != "--json" and not a.startswith("--seed="):
+            return a if a in COMMANDS else None
+    return None
+
+
 def main(argv=None) -> int:
     # Exact integers (a `farkas-height` total, a work count, a literal)
     # may pass Python's int-string limit: lift it for this call only.
@@ -298,9 +320,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
-def _run(argv) -> int:
+def _run(argv, parser: argparse.ArgumentParser | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    if parser is None:
+        parser = build_parser(_invoked_command(argv))
     try:
         args = parser.parse_args(argv, argparse.Namespace(json=False, seed=None))
     except SystemExit as exc:

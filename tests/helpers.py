@@ -1,5 +1,7 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
+import contextlib
+import io
 import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -7,6 +9,7 @@ from typing import Mapping, Sequence
 import hypothesis.strategies as st
 from hypothesis import assume
 
+from freegp import cli
 from freegp.ac import (
     ACPoly,
     Coefficient,
@@ -650,6 +653,25 @@ def expansion_size(expr: Expr) -> int:
                 n *= expansion_size(factor.inner)
         total += n
     return total
+
+
+# ---------------------------------------------------------------- command-line oracle
+
+
+def full_parser_run(argv) -> int:
+    """Test oracle for the parser `cli.main` builds on each call: `cli._run`
+    through the full `build_parser()`, every subcommand's parser complete.
+    It skips `main`'s lift of the int-string limit, which only integers of
+    thousands of digits reach."""
+    return cli._run(argv, cli.build_parser())
+
+
+def captured_call(call, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `call(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = call(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------- strategies

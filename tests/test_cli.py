@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
@@ -27,13 +28,14 @@ from freegp.cli import (
     POLARIZATION_NOTE,
     WORK_BUDGET,
     _VALUE_OPTIONS,
+    _invoked_command,
     build_parser,
     entry,
     main,
 )
 from freegp.identities import is_jacobian, jacobian_reduce_trace, linearize, strip_bare_factors
 from freegp.parsing import MAX_DEPTH, parse, to_assoc, to_gp
-from helpers import expansion_degree, expansion_size, expression_texts
+from helpers import captured_call, expansion_degree, expansion_size, expression_texts, full_parser_run
 
 J3_T = "{{t1,t2},t3} + {{t2,t3},t1} + {{t3,t1},t2}"
 
@@ -235,6 +237,54 @@ class TestCommandTable:
     def test_linearize_help_prints_the_polarization_note(self, capsys):
         _, out, _ = run(capsys, "linearize", "--help")
         assert POLARIZATION_NOTE in " ".join(out.split())
+
+
+class TestLeanParser:
+    """`main` completes only the parser of the subcommand it runs, and
+    only when every argument before it is a global flag spelled exactly;
+    the other subcommands get stubs."""
+
+    GLOBAL_FLAGS = ["--json", "--seed", "3", "--seed=3"]
+    VOCABULARY = [
+        *COMMANDS, "nosuch",
+        *GLOBAL_FLAGS, "--js", "--json=1", "--se", "--seed=x",
+        *sorted(_VALUE_OPTIONS - {"--seed"}), "--mo", "--bu", "--va", "--assign=t1=x1",
+        "2", "-1", "x", "gps", "poisson", "t1=x1",
+        "--", "-h", "--help", "--nosuch", "-x",
+        "x1", "{x2,x1}", "x1 + x2", "t1*t2", "{t1,{t2,t3}}", "{x1,",
+    ]
+    words = st.lists(st.sampled_from(VOCABULARY), max_size=7)
+    command_lines = words | st.tuples(
+        st.lists(st.sampled_from(GLOBAL_FLAGS), max_size=3), st.sampled_from(list(COMMANDS)), words
+    ).map(lambda p: [*p[0], p[1], *p[2]])
+
+    @settings(max_examples=400, deadline=None)
+    @example(["--n", "normalize", "bracket", "x1", "x2"])
+    @example(["--seed", "3", "--json", "normalize", "{x2,x1}"])
+    @example(["--json", "witness", "--model", "poisson", "--m", "2", "{t1,{t2,t3}}"])
+    @given(command_lines)
+    def test_same_output_as_the_full_parser(self, argv):
+        assert captured_call(main, argv) == captured_call(full_parser_run, argv)
+
+    @pytest.mark.parametrize("argv, command", [
+        (["normalize", "x1"], "normalize"),
+        (["--json", "--seed", "3", "bracket", "x1", "x2"], "bracket"),
+        (["--seed=3", "--json", "jacobian-space", "--n", "3"], "jacobian-space"),
+        (["--n", "normalize", "bracket", "x1", "x2"], None),
+        (["--js", "normalize", "x1"], None),
+        (["--seed", "-1", "normalize", "x1"], None),
+        (["--seed"], None),
+        (["--", "normalize", "x1"], None),
+        (["-h", "normalize"], None),
+        (["nosuch", "x1"], None),
+        ([], None),
+    ])
+    def test_invoked_command(self, argv, command):
+        assert _invoked_command(argv) == command
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stubs_keep_the_top_level_help(self, command):
+        assert build_parser(command).format_help() == build_parser().format_help()
 
 
 class TestConsecutiveCalls:
@@ -651,6 +701,25 @@ class TestErrorPaths:
         code, out, _ = run(capsys, *argv)
         assert code == 2
         assert json.loads(out)["command"] == "nosuch"
+
+    @pytest.mark.parametrize("argv", [
+        ("--js", "normalize", "x1"),
+        ("--js", "frobnicate", "x1"),
+        ("normalize", "--js", "x1"),
+        ("--se", "3", "normalize", "x1"),
+        ("witness", "--mo", "gps", "--m", "3", J3_T),
+    ])
+    def test_abbreviated_flags_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: freegp")
+
+    def test_usage_error_names_the_command_argparse_read(self, capsys):
+        # `--se` is no `--seed`, so argparse reads "3" as the subcommand
+        code, out, err = run(capsys, "--se", "3", "--json", "nosuch")
+        assert code == 2
+        assert json.loads(out)["command"] == "3"
+        assert "invalid choice: '3'" in err
 
     def test_value_options_match_the_parser(self):
         parser = build_parser()
