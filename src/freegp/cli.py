@@ -241,11 +241,20 @@ _VALUE_OPTIONS = frozenset(
 )
 
 
+_COMMAND_METAVAR = "{" + ",".join(COMMANDS) + "}"
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given a name in COMMANDS, only
-    of that one.  The others are stubs that are never parsed with: their
-    names and help lines keep the usage line, the help listing and the
-    invalid-choice message."""
+    """The parser of every subcommand, or, given a name in COMMANDS, of
+    that one alone.
+
+    The only top-level text a lean call can print is the usage line, on a
+    top-level error: `-h` before the subcommand and unknown commands get
+    the full tree, with its help listing and invalid-choice message.  So
+    the lean tree sets the subcommand metavar to the full tree's choices,
+    which keeps the usage line's bytes.  The full tree sets none: there a
+    metavar would also rename the argument in the invalid-choice and
+    missing-command messages."""
     # The global flags are accepted before and after the subcommand.  They
     # have no defaults here (main supplies them): each subcommand's copy
     # would write its default over a flag given before the subcommand.
@@ -260,11 +269,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         parents=[common],
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in COMMANDS.items():
-        if command is not None and name != command:
-            sub.add_parser(name, help=spec.help, add_help=False, allow_abbrev=False)
-            continue
+    metavar = None if command is None else _COMMAND_METAVAR
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, spec in COMMANDS.items() if command is None else [(command, COMMANDS[command])]:
         p = sub.add_parser(name, parents=[common], help=spec.help, epilog=spec.epilog, allow_abbrev=False)
         for argument, kwargs in spec.arguments:
             p.add_argument(argument, **kwargs)

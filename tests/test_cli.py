@@ -240,9 +240,8 @@ class TestCommandTable:
 
 
 class TestLeanParser:
-    """`main` completes only the parser of the subcommand it runs, and
-    only when every argument before it is a global flag spelled exactly;
-    the other subcommands get stubs."""
+    """`main` builds only the parser of the subcommand it runs, and only
+    when every argument before it is a global flag spelled exactly."""
 
     GLOBAL_FLAGS = ["--json", "--seed", "3", "--seed=3"]
     VOCABULARY = [
@@ -262,6 +261,10 @@ class TestLeanParser:
     @example(["--n", "normalize", "bracket", "x1", "x2"])
     @example(["--seed", "3", "--json", "normalize", "{x2,x1}"])
     @example(["--json", "witness", "--model", "poisson", "--m", "2", "{t1,{t2,t3}}"])
+    # top-level errors of lean calls: each prints the top-level usage line
+    @example(["normalize", "x1", "--nosuch"])
+    @example(["--json", "bracket", "x1", "x2", "x3"])
+    @example(["--seed", "x", "normalize", "x1"])
     @given(command_lines)
     def test_same_output_as_the_full_parser(self, argv):
         assert captured_call(main, argv) == captured_call(full_parser_run, argv)
@@ -283,8 +286,14 @@ class TestLeanParser:
         assert _invoked_command(argv) == command
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_stubs_keep_the_top_level_help(self, command):
-        assert build_parser(command).format_help() == build_parser().format_help()
+    def test_lean_usage_matches_the_full_tree(self, command, monkeypatch):
+        # the usage line is the only top-level text a lean call prints; its
+        # wrapping follows the terminal width
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert build_parser(command).format_usage() == build_parser().format_usage()
+        [sub] = [a for a in build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [command]
 
 
 class TestConsecutiveCalls:
