@@ -9,12 +9,12 @@ kernel, the rows of x1, one row at a time, relabels it to x2, ..., xn
 in turn (each word only when a row first holds it),
 restricts each relabeled row to the kernel, and adds it only when its
 residual against the rows kept so far is nonzero, until the rank is K.
-At n=7 this takes 2.7-3.0 s (basis 0.9-1.0 s, stage 2 1.8-2.0 s) and 53 MB
-peak RSS on a shared 2-vCPU VM.  It reports the dimension, a basis, K of W,
-the time of each stage and the peak resident memory of the process so
-far.  The expected table is 1, 1, 0, 0, ...: only the plain bracket and
-the bracket jacobiator survive.  The exit status is 1 when a dimension
-differs from that table.
+At n=7 this takes 2.7-3.0 s (basis 0.9-1.0 s, stage 2 1.8-2.0 s) and
+40-44 MB peak RSS (Python 3.10-3.13) on a shared 2-vCPU VM.  It reports
+the dimension, a basis, K of W, the time of each stage and the peak
+resident memory of the process so far.  The expected table is 1, 1, 0,
+0, ...: only the plain bracket and the bracket jacobiator survive.  The
+exit status is 1 when a dimension differs from that table.
 """
 
 import argparse

@@ -101,13 +101,13 @@ class Word:
     each returns the one live instance of its word, so equal words are
     the same object.  Equality and hashing are the object defaults,
     identity, done in C; copies and unpickled words are that same
-    instance too.  The intern tables hold words weakly: a word that
+    instance too.  The intern table holds words weakly: a word that
     nothing refers to is freed, and a later build makes a new instance.
     Instances are immutable and carry their degree, leaf sequence and
     order key precomputed.
     """
 
-    __slots__ = ("var", "left", "right", "degree", "leaves", "varset", "key", "__weakref__")
+    __slots__ = ("var", "left", "right", "degree", "leaves", "key", "__weakref__")
 
     var: Variable | None
     left: "Word | None"
@@ -115,7 +115,7 @@ class Word:
 
     @classmethod
     def leaf(cls, v: Variable) -> "Word":
-        entry = _LEAVES.get(v)
+        entry = _WORDS.get(v)
         w = entry() if entry is not None else None
         if w is None:
             w = object.__new__(cls)
@@ -124,15 +124,14 @@ class Word:
             w.right = None
             w.degree = 1
             w.leaves = (v,)
-            w.varset = frozenset((v,))
             w.key = (1, v)  # orders as (1, (v.base, v.index))
-            w = _intern(_LEAVES, v, w, _forget_leaf)
+            w = _intern(v, w)
         return w
 
     @classmethod
     def node(cls, left: "Word", right: "Word") -> "Word":
         key = (left, right)
-        entry = _NODES.get(key)
+        entry = _WORDS.get(key)
         w = entry() if entry is not None else None
         if w is None:
             w = object.__new__(cls)
@@ -141,9 +140,8 @@ class Word:
             w.right = right
             w.degree = left.degree + right.degree
             w.leaves = left.leaves + right.leaves
-            w.varset = left.varset | right.varset
             w.key = (w.degree, left.key, right.key)
-            w = _intern(_NODES, key, w, _forget_node)
+            w = _intern(key, w)
         return w
 
     @property
@@ -173,44 +171,41 @@ class Word:
         return "{" + repr(self.left) + "," + repr(self.right) + "}"
 
 
-# The intern tables: every live word, by its variable or by its pair of
-# (interned) children.  An entry holds its word weakly: a word that nothing
-# else refers to dies, and its callback drops the entry, so a process that
-# runs many commands keeps only the words still in use.  No one can compare
-# a dead word with a later build of it, so identity stays equality.  The
-# insert (`dict.setdefault`) and the removal (`_remove_dead_weakref`, the
-# helper of `weakref.WeakValueDictionary`, which deletes a key only while
-# its entry is dead) are each atomic, so two threads that build one word
-# get one object and no removal drops a newer entry.
+# The intern table: every live word, a leaf by its variable, a (string,
+# int) tuple, and a node by its pair of (interned) children, a tuple of two
+# words, which no variable equals.  An entry holds its word weakly: a word
+# that nothing else refers to dies, and its callback drops the entry, so a
+# process that runs many commands keeps only the words still in use.  No
+# one can compare a dead word with a later build of it, so identity stays
+# equality.  The insert (`dict.setdefault`) and the removal
+# (`_remove_dead_weakref`, the helper of `weakref.WeakValueDictionary`,
+# which deletes a key only while its entry is dead) are each atomic, so two
+# threads that build one word get one object and no removal drops a newer
+# entry.
 class _Entry(weakref.ref):
     """A weak reference to an interned word that knows its table key."""
 
     __slots__ = ("key",)
 
 
-_LEAVES: dict[Variable, _Entry] = {}
-_NODES: dict[tuple[Word, Word], _Entry] = {}
+_WORDS: dict[Variable | tuple[Word, Word], _Entry] = {}
 
 
-def _forget_leaf(ref: _Entry) -> None:
-    _remove_dead_weakref(_LEAVES, ref.key)
+def _forget(ref: _Entry) -> None:
+    _remove_dead_weakref(_WORDS, ref.key)
 
 
-def _forget_node(ref: _Entry) -> None:
-    _remove_dead_weakref(_NODES, ref.key)
-
-
-def _intern(table: dict, key, w: Word, forget) -> Word:
-    """The live word of `table` under `key`, entering the new word `w` if there is none."""
-    new = _Entry(w, forget)
+def _intern(key, w: Word) -> Word:
+    """The live word under `key`, entering the new word `w` if there is none."""
+    new = _Entry(w, _forget)
     new.key = key
-    ref = table.setdefault(key, new)
+    ref = _WORDS.setdefault(key, new)
     while ref is not new:
         old = ref()
         if old is not None:
             return old  # another thread won
-        _remove_dead_weakref(table, key)
-        ref = table.setdefault(key, new)
+        _remove_dead_weakref(_WORDS, key)
+        ref = _WORDS.setdefault(key, new)
     return w
 
 
@@ -404,10 +399,7 @@ class ACPoly(Linear):
         return frozenset(self._terms)
 
     def variables(self) -> frozenset[Variable]:
-        out: frozenset[Variable] = frozenset()
-        for w in self._terms:
-            out |= w.varset
-        return out
+        return frozenset().union(*(w.leaves for w in self._terms))
 
 
 def normalize_word(w: Word) -> ACPoly:
@@ -479,10 +471,12 @@ def i_normal_form(w: Word, x: Variable) -> OperatorWord:
     factors = []
     cur = w
     while not cur.is_leaf:
-        if x in cur.right.varset:
-            side, cur = cur.left, cur.right
+        left, right = cur.left, cur.right
+        # x is in one child: search the smaller, so the walk is linear in the degree
+        if (x not in left.leaves) if left.degree < right.degree else (x in right.leaves):
+            side, cur = left, right
         else:
-            side, cur = cur.right, cur.left
+            side, cur = right, left
             sign = -sign
         nf = _normal_form(side)
         if nf is None:
@@ -527,7 +521,7 @@ def is_polylinear(f: ACPoly) -> bool:
     """Every word of `f` uses every variable of the support exactly once."""
     vs = f.variables()
     n = len(vs)
-    return all(w.degree == n and w.varset == vs for w in f._terms)
+    return all(w.degree == n and frozenset(w.leaves) == vs for w in f._terms)
 
 
 def flip_orbit(f: ACPoly, max_size: int = 1000) -> FlipOrbit:

@@ -154,7 +154,7 @@ def _least_letter_words(w: Word, rank: dict, cache: dict) -> list[tuple[tuple, i
     if w.is_leaf:
         return [((rank[w.var],), 1)]
     first, second, sign = w.left, w.right, 1
-    if min(second.varset) < min(first.varset):
+    if min(second.leaves) < min(first.leaves):
         first, second, sign = second, first, -1
     head = _least_letter_words(first, rank, cache)
     rest = _commutator_expansion(second, rank, cache)

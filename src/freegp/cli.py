@@ -45,7 +45,7 @@ MAX_BUDGET = 1000  # witness --budget
 DEFAULT_BUDGET = 200  # witness without --budget
 # `jacobian-space --n`: the basis has (2n-3)!! words.  On a shared
 # 2-vCPU VM n=5 takes about 0.005 s, n=6 about 0.05-0.1 s and n=7 (10,395
-# words) about 3 s and 53 MB peak RSS, too long for one command.
+# words) about 3 s and 44 MB peak RSS, too long for one command.
 MAX_JACOBIAN_N = 6
 # Work units (`ac.WorkLimit`) of one command.  The slowest input of the
 # earlier per-command bounds, the 17-letter `lie-test` product, spends

@@ -94,11 +94,7 @@ class GPPoly(Linear):
         return frozenset(self._terms)
 
     def variables(self) -> frozenset[Variable]:
-        out: frozenset[Variable] = frozenset()
-        for m in self._terms:
-            for w in m:
-                out |= w.varset
-        return out
+        return frozenset().union(*(w.leaves for m in self._terms for w in m))
 
     def factor_words(self) -> frozenset[Word]:
         return frozenset(w for m in self._terms for w in m)

@@ -164,14 +164,13 @@ def derivation_difference(f: GPPoly, x: Variable, y: Variable, z: Variable) -> G
     differences: dict[Word, dict[Monomial, Coefficient]] = {}
     acc: dict[Monomial, Coefficient] = {}
     for m, c in f._terms.items():
-        held = [i for i, w in enumerate(m) if x in w.varset]
+        held = [i for i, w in enumerate(m) if x in w.leaves]
         if len(held) != 1:
             raise ValueError(f"input is not linear in {x}")
         i = held[0]
         terms = differences.get(m[i])
         if terms is None:
-            # a word whose leaves are distinct holds each of them once
-            if m[i].degree != len(m[i].varset) and m[i].count(x) != 1:
+            if m[i].count(x) != 1:
                 raise ValueError(f"input is not linear in {x}")
             terms = differences[m[i]] = _factor_difference(m[i], x, wy, wz)
         rest = m[:i] + m[i + 1 :]
@@ -199,7 +198,7 @@ def _leibniz_open(f: GPPoly) -> list[Variable]:
         if w.is_leaf:
             open_.add(w.var)
         else:
-            open_.update(w.varset.difference((w.left.var, w.right.var)))
+            open_.update(set(w.leaves).difference((w.left.var, w.right.var)))
     return sorted(open_)
 
 
@@ -255,7 +254,7 @@ def _relabel(
     because a recursive closure over it is a reference cycle: each memo
     would live until a full garbage collection.)
     """
-    if images.keys().isdisjoint(w.varset):
+    if images.keys().isdisjoint(w.leaves):
         return 1, w
     got = memo.get(w)
     if got is None:
@@ -512,7 +511,7 @@ def _poisson_coordinates(f: GPPoly) -> dict[tuple[tuple[int, ...], ...], Coeffic
     form: dict[tuple, Coefficient] = {}
     for m, c in f._terms.items():
         products = [((), c)]
-        for w in sorted(m, key=lambda w: min(w.varset)):
+        for w in sorted(m, key=lambda w: min(w.leaves)):
             if w not in coordinates:
                 coordinates[w] = _least_letter_words(w, rank, cache)
             products = [(key + (u,), a * d) for key, a in products for u, d in coordinates[w]]
@@ -591,7 +590,7 @@ def _factor_degrees(f: GPPoly) -> dict[Variable, int]:
     per: dict[Variable, int] = {}
     for m in f._terms:
         for w in m:
-            for v in w.varset:
+            for v in w.leaves:
                 if per.get(v, 0) < w.degree:
                     per[v] = w.degree
     return per
@@ -615,8 +614,8 @@ def strip_bare_factors(f: GPPoly) -> GPPoly:
         _charge(len(g._terms))
         acc: dict[Monomial, Coefficient] = {}
         for m, c in g._terms.items():
-            if all(w.is_leaf for w in m if v in w.varset):
-                _accumulate(acc, tuple(w for w in m if v not in w.varset), _coefficient(c))
+            if all(w.is_leaf for w in m if v in w.leaves):
+                _accumulate(acc, tuple(w for w in m if v not in w.leaves), _coefficient(c))
         g = g._new(acc)
 
 
@@ -719,7 +718,7 @@ def jacobian_product_decompose(f: GPPoly) -> ProductDecomposition:
     # f is polylinear: the blocks of each monomial partition the support
     groups: dict[tuple[tuple[Variable, ...], ...], dict[Monomial, Coefficient]] = {}
     for m, c in f._terms.items():
-        part = tuple(sorted(tuple(sorted(w.varset)) for w in m))
+        part = tuple(sorted(tuple(sorted(w.leaves)) for w in m))
         if any(len(block) not in (2, 3) for block in part):
             return not_spanned()
         groups.setdefault(part, {})[m] = c

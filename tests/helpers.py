@@ -69,7 +69,7 @@ def elevated_key(w: Word, x: Variable):
     """`Word.key`, except that every word containing `x` is greater than
     every word avoiding it; ties on that flag fall back to `Word.key`
     at every level."""
-    flag = x in w.varset
+    flag = x in w.leaves
     if w.is_leaf:
         return (flag, w.key)
     return (flag, (w.degree, elevated_key(w.left, x), elevated_key(w.right, x)))
@@ -95,6 +95,19 @@ def structural_word_eq(u: Word, v) -> bool:
     """Test oracle for word equality: the structural `Word.__eq__` that
     interning replaced by identity, comparing order keys."""
     return u is v or (isinstance(v, Word) and u.key == v.key)
+
+
+def walked_leaves(w: Word) -> list[Variable]:
+    """Test oracle for `Word.leaves`: the variables at the leaves of `w`,
+    left to right, read by walking its tree."""
+    out, stack = [], [w]
+    while stack:
+        u = stack.pop()
+        if u.var is not None:
+            out.append(u.var)
+        else:
+            stack += (u.right, u.left)
+    return out
 
 
 def left_normed(variables) -> Word:
@@ -591,7 +604,7 @@ def full_expansion_form(f: GPPoly) -> dict[tuple[tuple, ...], Coefficient]:
     form: dict[tuple[tuple, ...], Coefficient] = {}
     for m, c in f._terms.items():
         products = {(): c}
-        for w in sorted(m, key=lambda w: min(w.varset)):
+        for w in sorted(m, key=lambda w: min(w.leaves)):
             words = commutator_expansion(w)._terms
             products = {k + (u,): a * d for k, a in products.items() for u, d in words.items()}
         for k, a in products.items():

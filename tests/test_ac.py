@@ -27,9 +27,13 @@ from freegp.ac import (
     height,
     i_normal_form,
     is_normal,
+    is_polylinear,
     normalize_word,
 )
 from freegp.assoc import permutation_sign
+from freegp.gp import GPPoly
+from freegp.gp import is_polylinear as gp_is_polylinear
+from freegp.identities import _leibniz_open
 
 from helpers import (
     J3_TEXT,
@@ -37,10 +41,12 @@ from helpers import (
     ac_polys,
     acp,
     elevated_normal_form,
+    gp,
     gp_polys,
     left_normed,
     raw_words,
     structural_word_eq,
+    walked_leaves,
     word,
     xvars,
 )
@@ -161,14 +167,60 @@ class TestInterning:
         vs = [Variable("q", 2 * 10**9 + i) for i in range(3)]
         w = build((vs[0], (vs[1], vs[2])))
         key = (w.left, w.right)
-        assert freegp.ac._NODES[key]() is w and freegp.ac._LEAVES[vs[0]]() is w.left
+        assert freegp.ac._WORDS[key]() is w and freegp.ac._WORDS[vs[0]]() is w.left
         gone = weakref.ref(w)
         del w, key
         assert gone() is None
-        assert not any(v in vs for v in freegp.ac._LEAVES)
-        assert not any(e().varset.intersection(vs) for e in freegp.ac._NODES.values())
+        assert not any(v in vs for v in freegp.ac._WORDS)
+        assert not any(set(e().leaves).intersection(vs) for e in freegp.ac._WORDS.values())
         # a later build is a new instance, and the one word again
         assert build((vs[0], (vs[1], vs[2]))) is build((vs[0], (vs[1], vs[2])))
+
+
+# Sums of words of three letters drawn from x1..x3, repeats allowed: a word
+# that repeats a leaf next to one that does not has the degree and the
+# variables of a polylinear sum.
+three_letter_sums = st.lists(
+    st.lists(st.sampled_from(xvars(3)), min_size=3, max_size=3).map(left_normed), max_size=3
+).map(lambda ws: sum(map(normalize_word, ws), ACPoly.zero()))
+
+
+class TestLeafQueries:
+    """The queries on the variables of words read `Word.leaves`; each
+    agrees with a walk of the trees, also on words that repeat a leaf."""
+
+    @staticmethod
+    def oracle_variables(words) -> frozenset[Variable]:
+        return frozenset(v for w in words for v in walked_leaves(w))
+
+    @given(st.one_of(ac_polys(xvars(3), max_leaves=5), three_letter_sums))
+    def test_ac_queries(self, f):
+        vs = self.oracle_variables(f.words())
+        assert f.variables() == vs
+        assert is_polylinear(f) == all(sorted(walked_leaves(w)) == sorted(vs) for w in f.words())
+
+    @given(st.one_of(gp_polys(xvars(3), max_factors=3), three_letter_sums.map(GPPoly.from_ac)))
+    def test_gp_queries(self, f: GPPoly):
+        vs = self.oracle_variables(f.factor_words())
+        assert f.variables() == vs
+        assert gp_is_polylinear(f) == all(
+            sorted(v for w in m for v in walked_leaves(w)) == sorted(vs) for m in f.monomials()
+        )
+        open_ = set()
+        for w in f.factor_words():
+            if w.var is not None:
+                open_.add(w.var)  # a bare factor
+            else:  # every leaf but a leaf child of the root
+                open_.update(set(walked_leaves(w)) - {w.left.var, w.right.var})
+        assert _leibniz_open(f) == sorted(open_)
+
+    @pytest.mark.parametrize("make, test", [(acp, is_polylinear), (gp, gp_is_polylinear)])
+    def test_a_repeated_leaf_is_not_polylinear(self, make, test):
+        # every word has degree 3 and only variables of the support, yet
+        # the first holds x1 twice and no x3
+        f = make("{x1,{x1,x2}} + {x1,{x2,x3}}")
+        assert f.variables() == frozenset(xvars(3))
+        assert not test(f)
 
 
 class TestNormalize:
@@ -294,14 +346,14 @@ class TestHeight:
         # the nesting depth of its leaf
         words = enumerate_polylinear_basis(xvars(n))
         w = rng.choice(words)
-        x = rng.choice(sorted(w.varset))
+        x = rng.choice(sorted(set(w.leaves)))
 
         def depth(node, target, acc):
             if node.is_leaf:
                 return acc if node.var == target else None
             return (
                 depth(node.left, target, acc + 1)
-                if target in node.left.varset
+                if target in node.left.leaves
                 else depth(node.right, target, acc + 1)
             )
 
@@ -331,7 +383,7 @@ class TestOperatorForm:
     def test_round_trip(self, n, rng):
         words = enumerate_polylinear_basis(xvars(n))
         w = rng.choice(words)
-        x = rng.choice(sorted(w.varset))
+        x = rng.choice(sorted(set(w.leaves)))
         op = i_normal_form(w, x)
         assert op.to_ac() == normalize_word(w)
 
@@ -339,17 +391,17 @@ class TestOperatorForm:
     def test_expansion_is_normal_under_elevated_order(self, n, rng):
         words = enumerate_polylinear_basis(xvars(n))
         w = rng.choice(words)
-        x = rng.choice(sorted(w.varset))
+        x = rng.choice(sorted(set(w.leaves)))
         op = i_normal_form(w, x)
         assert elevated_normal_form(op.expand(), x) == (1, op.expand())
-        assert all(x not in u.varset for u in op.factors)
+        assert all(x not in u.leaves for u in op.factors)
 
     def test_matches_normalization_under_elevated_order(self):
         # independent route: normalize under the elevated order and peel
         # the right spine
         for n in (3, 4):
             for w in enumerate_polylinear_basis(xvars(n)):
-                for x in sorted(w.varset):
+                for x in sorted(set(w.leaves)):
                     op = i_normal_form(w, x)
                     c, u = elevated_normal_form(w, x)
                     spine = []
@@ -388,7 +440,7 @@ class TestFlip:
     def test_involution_on_basis_words(self, n, rng):
         words = enumerate_polylinear_basis(xvars(n))
         w = rng.choice(words)
-        x = rng.choice(sorted(w.varset))
+        x = rng.choice(sorted(set(w.leaves)))
         f = ACPoly({w: Fraction(1)})
         assert flip(flip(f, x), x) == f
 
@@ -478,7 +530,7 @@ class TestPolylinearBasis:
     def test_all_words_polylinear_and_normal(self):
         for w in enumerate_polylinear_basis(xvars(4)):
             assert is_normal(w)
-            assert w.varset == frozenset(xvars(4)) and w.degree == 4
+            assert frozenset(w.leaves) == frozenset(xvars(4)) and w.degree == 4
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_memo_holds_every_subset_in_word_order(self, n):

@@ -336,7 +336,7 @@ class TestConsecutiveCalls:
         assert dict(COMMANDS["realize"].arguments)["--assign"]["default"] == []
 
     def test_commands_keep_no_words(self, capsys):
-        # the intern tables hold words weakly, so a process that runs many
+        # the intern table holds words weakly, so a process that runs many
         # commands keeps none of the words they built
         argvs = [
             ("jacobian-space", "--n", "5"),
@@ -345,11 +345,11 @@ class TestConsecutiveCalls:
             ("linearize", "{x1,{x1,{x1,x2}}}"),
         ]
         gc.collect()
-        held = len(freegp.ac._NODES)
+        held = len(freegp.ac._WORDS)
         for argv in argvs * 2:
             assert run(capsys, *argv)[0] == 0
             gc.collect()
-            assert len(freegp.ac._NODES) == held
+            assert len(freegp.ac._WORDS) == held
 
     def test_assignments_do_not_accumulate(self, capsys):
         argv = ("realize", "--model", "poisson", "--n", "1", "--assign", "t1=x1", "--assign", "t2=y1", "{t1,t2}")

@@ -920,7 +920,7 @@ def partition_product(part) -> GPPoly:
 
 def partition_key(m) -> frozenset:
     """The blocks a monomial's factors hold, as `_partitions_23` writes them."""
-    return frozenset(tuple(sorted(w.varset)) for w in m)
+    return frozenset(tuple(sorted(set(w.leaves))) for w in m)
 
 
 @st.composite
